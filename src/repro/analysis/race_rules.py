@@ -24,11 +24,11 @@ Registers the rule set of :mod:`repro.analysis.registry`:
 
 This module also hosts the race engine itself —
 :func:`lint_computation` with its :class:`Diagnostic` /
-:class:`LintReport` output — which :mod:`repro.verify.lint` re-exports
-for backwards compatibility.  Race detectors are imported from
-``repro.verify`` *submodules* directly (never the package) so that the
-``repro.verify`` → ``verify.lint`` → ``repro.analysis`` shim chain
-cannot form an import cycle.
+:class:`LintReport` output — which :mod:`repro.verify` re-exports
+lazily.  Race detectors are imported from ``repro.verify``
+*submodules* directly (never the package's lazy names) so that the
+``repro.verify`` → ``repro.analysis`` re-export cannot form an import
+cycle.
 """
 
 from __future__ import annotations

@@ -187,10 +187,7 @@ class Dag:
     def _closure(self) -> tuple[list[int], list[int]]:
         """Compute (and cache) strict descendant/ancestor bitsets.
 
-        Delegates to the selected kernel backend
-        (:mod:`repro.kernels`); results are backend-independent python
-        int rows, so cached dags compare equal no matter which backend
-        filled them in.
+        Delegates to :func:`repro.kernels.closure`.
         """
         if self._desc is None:
             from repro import kernels

@@ -112,12 +112,9 @@ def env_metadata() -> dict[str, Any]:
     ``cpus`` is the *usable* CPU count (scheduling affinity — what pool
     speedups should be judged against); ``cpus_logical`` records the
     machine's logical CPU count alongside it so a pinned run is visible
-    as such in the ledger.  ``kernel`` is the resolved bitset backend
-    (``REPRO_KERNEL``) — runs on different backends measure different
-    code and the gate refuses to compare across them — with the numpy
-    version alongside when that backend is importable.
+    as such in the ledger.
     """
-    meta: dict[str, Any] = {
+    return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
@@ -125,15 +122,6 @@ def env_metadata() -> dict[str, Any]:
         "cpus": available_cpus(),
         "cpus_logical": os.cpu_count() or 1,
     }
-    # Local import: the ledger predates the kernels package and stays
-    # importable on its own (obs.__init__ does not pull it in).
-    from repro.kernels import kernel_info
-
-    info = kernel_info()
-    meta["kernel"] = info["kernel"]
-    if info["numpy"] is not None:
-        meta["numpy"] = info["numpy"]
-    return meta
 
 
 def peak_rss_kb() -> int:
@@ -244,12 +232,10 @@ def validate_record(rec: Any) -> list[str]:
             or logical < 1
         ):
             problems.append("'env.cpus_logical' must be a positive integer")
-        # Optional likewise (absent before the kernel-backend split);
-        # records without it are treated as pure-python by the gate.
-        backend = env.get("kernel")
-        if backend is not None and (
-            not isinstance(backend, str) or not backend
-        ):
+        # Legacy: records written while two bitset backends existed
+        # name theirs; the field is no longer written or compared.
+        kernel = env.get("kernel")
+        if kernel is not None and (not isinstance(kernel, str) or not kernel):
             problems.append("'env.kernel' must be a non-empty string")
     for key in ("quick", "check"):
         if not isinstance(rec.get(key), bool):
@@ -429,16 +415,6 @@ def _wall_p50(rec: dict) -> float:
     return float(rec["wall_seconds"]["p50"])
 
 
-def _env_kernel(rec: dict) -> str:
-    """A record's kernel backend; records predating the field ran the
-    pure-python kernels, so absence defaults to ``"python"``."""
-    env = rec.get("env")
-    if not isinstance(env, dict):
-        return "python"
-    kernel = env.get("kernel")
-    return kernel if isinstance(kernel, str) and kernel else "python"
-
-
 def compare_records(
     history: Sequence[dict],
     candidates: Sequence[dict],
@@ -460,13 +436,7 @@ def compare_records(
 
     Quick-mode and full-mode records measure different workloads, so
     candidates are only compared against history with the same
-    ``quick`` flag.  Likewise a record's kernel backend
-    (``env.kernel``; records predating the field count as ``python``):
-    numbers from the numpy kernels and the pure-python kernels measure
-    different code, and comparing across them would let a backend
-    switch masquerade as a regression or an optimization — mismatched
-    history is simply not a baseline, exactly like the ``cpus`` vs
-    ``cpus_logical`` affinity split.
+    ``quick`` flag.
     """
     by_name: dict[str, list[dict]] = {}
     for rec in history:
@@ -478,9 +448,7 @@ def compare_records(
         prior = [
             r
             for r in by_name.get(name, [])
-            if r is not cand
-            and r.get("quick") == cand.get("quick")
-            and _env_kernel(r) == _env_kernel(cand)
+            if r is not cand and r.get("quick") == cand.get("quick")
         ][-window:]
         if not prior:
             report.deltas.append(

@@ -73,7 +73,6 @@ from repro.obs import Span
 from repro.obs import context as trace_context
 from repro.obs import profile as obs_profile
 from repro.obs.context import TraceContext
-from repro.runtime.shm import ShmSlice, share_universe, shm_mode
 
 __all__ = [
     "ShardSpec",
@@ -257,15 +256,7 @@ class ShardSpec:
     :attr:`ShardMeta.counters` and :func:`run_shards` merges them into
     the parent trace.
 
-    ``shm`` (set by :func:`run_shards` when the dispatcher shared the
-    universe) points the worker at its row range of the packed
-    enumeration in a :mod:`multiprocessing.shared_memory` block —
-    :meth:`iter_pairs` then *decodes* pairs from the read-only mapping
-    instead of regenerating them, falling back to regeneration (with a
-    structured warning and an ``shm.fallback`` counter) if the block
-    cannot be attached.
-
-    ``trace`` (also stamped by :func:`run_shards`) is the sweep's
+    ``trace`` (stamped by :func:`run_shards`) is the sweep's
     propagated trace context as a :meth:`TraceContext.as_tuple` tuple.
     Like the caching and obs flags it exists because a pool worker is a
     separate interpreter: the ambient :mod:`repro.obs.context` does not
@@ -283,7 +274,6 @@ class ShardSpec:
     mask_hi: int
     cache_enabled: bool = True
     obs_enabled: bool = False
-    shm: ShmSlice | None = None
     trace: tuple | None = None
 
     def universe(self) -> Universe:
@@ -298,34 +288,11 @@ class ShardSpec:
         """The (computation, observer) pairs of this shard, in canonical
         order (edge mask ascending, then labelling, then observer).
 
-        With an :attr:`shm` slice attached, pairs are decoded from the
-        dispatcher's shared-memory block (one read-only mapping per
-        process) rather than regenerated; any attach failure degrades
-        to regeneration so a vanished segment can slow a sweep but
-        never break it.
-
         When this process has a heartbeat channel (a monitored sweep —
         pool worker or parent-serial), the iterator is wrapped to emit
         interval-limited progress heartbeats; otherwise it is returned
         untouched, so unmonitored sweeps pay nothing."""
-        inner = None
-        if self.shm is not None:
-            from repro.runtime import shm as _shm
-
-            try:
-                inner = _shm.shard_pairs(self)
-            except Exception as exc:
-                obs.warning(
-                    "shared universe unavailable; regenerating shard",
-                    shm=self.shm.name,
-                    n=self.n,
-                    mask_lo=self.mask_lo,
-                    mask_hi=self.mask_hi,
-                    error=repr(exc),
-                )
-                obs.add("shm.fallback")
-        if inner is None:
-            inner = self.universe().pairs(self.n, (self.mask_lo, self.mask_hi))
+        inner = self.universe().pairs(self.n, (self.mask_lo, self.mask_hi))
         if _HB is None:
             return inner
         return _heartbeat_iter(self, inner)
@@ -490,8 +457,6 @@ class SweepStats:
         wall_seconds: float,
         metas: Sequence[ShardMeta],
         retried_shards: int = 0,
-        backend: str = "python",
-        shm_used: bool = False,
     ) -> "SweepStats":
         """Assemble the stats span from worker-returned shard telemetry."""
         root = Span(
@@ -501,8 +466,6 @@ class SweepStats:
                 "jobs": jobs,
                 "mode": mode,
                 "retried_shards": retried_shards,
-                "backend": backend,
-                "shm": shm_used,
             },
             start=max(0.0, obs.now() - wall_seconds) if obs.enabled() else 0.0,
             duration=wall_seconds,
@@ -530,16 +493,6 @@ class SweepStats:
     def retried_shards(self) -> int:
         """Shards re-run serially after a worker crash (normally 0)."""
         return self.span.attrs.get("retried_shards", 0)
-
-    @property
-    def backend(self) -> str:
-        """The kernel backend the sweep resolved to (``REPRO_KERNEL``)."""
-        return self.span.attrs.get("backend", "python")
-
-    @property
-    def shm_used(self) -> bool:
-        """Whether workers decoded pairs from a shared-memory universe."""
-        return self.span.attrs.get("shm", False)
 
     @property
     def shards(self) -> list[ShardMeta]:
@@ -588,8 +541,6 @@ class SweepStats:
             "label": self.label,
             "jobs": self.jobs,
             "mode": self.mode,
-            "backend": self.backend,
-            "shm": self.shm_used,
             "wall_seconds": self.wall_seconds,
             "pairs": self.pairs,
             "retried_shards": self.retried_shards,
@@ -613,7 +564,6 @@ class SweepStats:
         """Human-readable table for ``--stats``."""
         lines = [
             f"sweep {self.label!r}: {self.mode}, jobs={self.jobs}, "
-            f"kernel={self.backend}, shm={'on' if self.shm_used else 'off'}, "
             f"{self.pairs} pairs in {self.wall_seconds:.3f}s"
         ]
         if self.retried_shards:
@@ -973,36 +923,14 @@ def run_shards(
     the monitor between future completions; the serial path (and crash
     retries) heartbeat directly through the monitor.  With no monitor
     installed this function is byte-for-byte the old dispatch.
-
-    For pool dispatch (``REPRO_SHM=auto``, the default, or always with
-    ``REPRO_SHM=1``) the enumeration is packed **once** here into a
-    shared-memory block that every worker maps read-only and decodes
-    (:mod:`repro.runtime.shm`); the segment's lifetime is exactly this
-    call — the ``finally`` below unlinks it on success, worker-crash
-    retry, and ``KeyboardInterrupt`` alike.  Packing failures degrade
-    to per-worker regeneration, never to a failed sweep.
     """
     monitor = _MONITOR
     t0 = time.perf_counter()
     retried: list[int] = []
     shards = list(shards)
     pool_dispatch = jobs > 1 and len(shards) > 1
-    shm_wanted = shm_mode()
-    shm_handle = None
-    if shards and (shm_wanted == "1" or (shm_wanted == "auto" and pool_dispatch)):
-        try:
-            shm_handle, slices = share_universe(shards)
-        except Exception as exc:
-            obs.warning(
-                "universe packing failed; workers will regenerate",
-                sweep=label,
-                error=repr(exc),
-            )
-            obs.add("shm.fallback")
-        else:
-            shards = [replace(s, shm=sl) for s, sl in zip(shards, slices)]
-    # Trace propagation mirrors the shm stamping: when this sweep runs
-    # under a sampled request context, mint one child span id for the
+    # Trace propagation: when this sweep runs under a sampled request
+    # context, mint one child span id for the
     # sweep and ship it to every shard so worker-side telemetry can
     # link back to it across the fork boundary.
     parent_ctx = trace_context.current()
@@ -1044,12 +972,6 @@ def run_shards(
     finally:
         if monitor is not None:
             _HB = hb_prev
-        # Guaranteed unlink: covers clean exit, kernel exceptions, the
-        # crash-retry path (retries run inside the dispatch above), and
-        # KeyboardInterrupt.  Workers that already mapped the block keep
-        # their pages until they exit.
-        if shm_handle is not None:
-            shm_handle.close()
     wall = time.perf_counter() - t0
     if monitor is not None:
         monitor.on_sweep_done(label, wall)
@@ -1060,8 +982,6 @@ def run_shards(
         wall_seconds=wall,
         metas=[o.meta for o in outcomes],
         retried_shards=len(retried),
-        backend=kernels.backend_name(),
-        shm_used=shm_handle is not None,
     )
     if sweep_ctx is not None:
         stats.span.attrs["trace_id"] = sweep_ctx.trace_id
@@ -1340,7 +1260,7 @@ def _model_names(models: Sequence) -> tuple[str, ...]:
 def inclusion_kernel(shard: ShardSpec, names: tuple[str, ...]) -> ShardOutcome:
     """Per-shard inclusion refutations over ``names`` (merged by OR).
 
-    The payload is the backend fold's "violation" bitset list
+    The payload is the fold's "violation" bitset list
     (:func:`repro.kernels.inclusion_fold`): bit ``j`` of ``bad[i]`` is
     set iff some pair of this shard is in ``names[i]`` but not
     ``names[j]``.  Shards merge by elementwise OR and

@@ -238,8 +238,10 @@ def request_fingerprint(
     n = comp.num_nodes
     edges = sorted(comp.dag.edges)
     ops_sig = tuple((op.kind, repr(op.loc)) for op in comp.ops)
+    # ⊥ (``None``) becomes -1, which sorts below every node id: a
+    # ``(loc, u, None)`` entry must stay comparable with ``(loc, u, v)``.
     cons = tuple(
-        sorted((repr(loc), u, v) for loc, u, v in triples)
+        sorted((repr(loc), u, -1 if v is None else v) for loc, u, v in triples)
     )
     identity = tuple(range(n))
     if n > CANON_NODE_LIMIT:
@@ -263,7 +265,7 @@ def request_fingerprint(
                 new_rows[perm[u]] = rows[u]
         c = tuple(
             sorted(
-                (loc, perm[u], None if v is None else perm[v])
+                (loc, perm[u], v if v < 0 else perm[v])
                 for loc, u, v in cons
             )
         )

@@ -11,7 +11,8 @@ The entry points take a :class:`~repro.runtime.trace.PartialObserver`
 Static analysis lives here too: the exact race sweep
 (:mod:`repro.verify.races`), the near-linear SP-bags detector with
 lockset classification (:mod:`repro.verify.spbags`), the lint engine
-behind ``repro lint`` (:mod:`repro.verify.lint`), and the in-execution
+behind ``repro lint`` (re-exported from
+:mod:`repro.analysis.race_rules`), and the in-execution
 trace sanitizer (:mod:`repro.verify.sanitizer`).
 """
 
@@ -49,20 +50,19 @@ from repro.verify.spbags import (
 )
 from repro.verify.streaming import StreamingLCVerifier, StreamingViolation
 
-#: The race-lint engine moved to :mod:`repro.analysis.race_rules` (rule
-#: ``RACE001``); these names are re-exported lazily so that importing
-#: any ``repro.verify`` submodule — which runs this package __init__ —
-#: does not drag the whole analysis framework in (and, symmetrically,
-#: the analysis modules can import ``repro.verify.races``/``spbags``
-#: without closing an import cycle).
-_LINT_EXPORTS = ("Diagnostic", "LintReport", "lint_computation")
+#: The race-lint engine lives in :mod:`repro.analysis.race_rules` (rule
+#: ``RACE001``).  Its names are re-exported lazily: importing any
+#: ``repro.verify`` submodule runs this package __init__, and the
+#: analysis modules import ``repro.verify.races``/``spbags``, so an eager
+#: import here would close an import cycle.
+_LINT_EXPORTS = ("Diagnostic", "LintReport", "lint_computation", "ENGINES")
 
 
 def __getattr__(name: str):
     if name in _LINT_EXPORTS:
-        from repro.verify import lint
+        from repro.analysis import race_rules
 
-        return getattr(lint, name)
+        return getattr(race_rules, name)
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}"
     )
@@ -86,6 +86,7 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "lint_computation",
+    "ENGINES",
     "TraceSanitizer",
     "SanitizerViolation",
     "infer_models",

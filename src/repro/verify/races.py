@@ -90,10 +90,10 @@ def _find_races_impl(comp: Computation) -> tuple[Race, ...]:
         access_mask[loc] = access_mask.get(loc, 0) | bit
         if op.is_write:
             write_mask[loc] = write_mask.get(loc, 0) | bit
-    # The per-writer mask sweep is a kernel: the backend receives one
+    # The per-writer mask sweep is a kernel: it receives one
     # (access, write) mask pair per location plus the closure rows and
     # returns the racing triples in the historical order (a write-write
-    # pair is emitted from its smaller id only — the backend drops the
+    # pair is emitted from its smaller id only — the kernel drops the
     # write partners below each writer, which dedupes without a
     # seen-set).
     locs = [loc for loc in comp.locations if write_mask.get(loc, 0)]

@@ -1,15 +1,20 @@
-"""Kernel backend parity: numpy packed-bit kernels vs the python oracle.
+"""Bitset kernels vs naive oracles.
 
-The contract of :mod:`repro.kernels` is that the numpy backend is
-*sequence-equal* to the pure-python oracle — same values, same order,
-same python types — for every dispatch function, so that switching
-``REPRO_KERNEL`` can never change a result, only its speed.  These
-tests pin that contract on exhaustive small inputs (every ordered dag
-up to n = 4), on random dags crossing the 64-bit word boundary
-(n = 63/64/65 and beyond), and on the degenerate masks (empty, full)
-where word-packing bugs live.  Dispatch-level behaviour — mode
-validation, the forced-numpy-without-numpy error, the ``use_kernel``
-override — is pinned alongside.
+Every function in :mod:`repro.kernels` is pinned *sequence-equal* to a
+deliberately simple oracle — same values, same order, same python
+types:
+
+* ``closure`` against DFS reachability;
+* ``race_pairs`` (through :func:`repro.verify.races.find_races`, its
+  one caller) against the per-pair sweep
+  :func:`repro.verify.races.find_races_naive`;
+* ``quotient_is_acyclic`` against a DFS cycle check;
+* ``inclusion_fold`` against the direct product.
+
+The inputs are exhaustive where small (every ordered dag up to n = 4),
+random dags crossing the 64-bit word boundary (n = 63/64/65 and
+beyond), and the degenerate masks (empty, full) where bitset bugs
+live.
 """
 
 from __future__ import annotations
@@ -19,20 +24,12 @@ import random
 import pytest
 
 from repro import kernels
-from repro.core.ops import R, W
-from repro.dag.digraph import Dag, bits
+from repro.core.computation import Computation
+from repro.core.ops import N, R, W
+from repro.dag.digraph import Dag
 from repro.dag.enumerate import ordered_dags
-from repro.errors import ConfigError, ReproError
-from repro.kernels import pybits, use_kernel
 from repro.models import Universe
-
-numpy_missing = not kernels.numpy_available()
-needs_numpy = pytest.mark.skipif(
-    numpy_missing, reason="numpy backend not importable"
-)
-
-if not numpy_missing:
-    from repro.kernels import npbits
+from repro.verify.races import _find_races_impl, find_races_naive
 
 
 def _random_dag(rng: random.Random, n: int, density: float) -> Dag:
@@ -55,157 +52,177 @@ def _closure_inputs(dag: Dag):
 
 
 # ---------------------------------------------------------------------------
-# Closure parity
+# Closure vs DFS reachability
 # ---------------------------------------------------------------------------
 
 
-@needs_numpy
+def _dfs_closure(dag: Dag) -> tuple[list[int], list[int]]:
+    """Strict descendant/ancestor rows by one DFS per node."""
+    n = dag.num_nodes
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in dag.edges:
+        adj[u].append(v)
+    desc = [0] * n
+    anc = [0] * n
+    for u in range(n):
+        stack, seen = list(adj[u]), set()
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v])
+        for v in seen:
+            desc[u] |= 1 << v
+            anc[v] |= 1 << u
+    return desc, anc
+
+
+def _assert_closure_matches_dfs(dag: Dag) -> None:
+    got = kernels.closure(*_closure_inputs(dag))
+    assert got == _dfs_closure(dag)
+    assert all(type(x) is int for row in got for x in row)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_closure_parity_exhaustive_small(n):
-    """Every ordered dag up to n = 4: numpy closure == oracle closure."""
+    """Every ordered dag up to n = 4."""
     for dag in ordered_dags(n):
-        args = _closure_inputs(dag)
-        assert npbits.closure(*args) == pybits.closure(*args)
+        _assert_closure_matches_dfs(dag)
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "n", [1, 5, 17, 63, 64, 65, 100, 130], ids=lambda n: f"n{n}"
 )
 def test_closure_parity_word_boundaries(n):
-    """Random dags at sizes straddling the 64-bit word packing."""
+    """Random dags at sizes straddling 64-bit words."""
     rng = random.Random(0xC105 + n)
     for density in (0.02, 0.15, 0.5, 0.9):
-        dag = _random_dag(rng, n, density)
-        args = _closure_inputs(dag)
-        py = pybits.closure(*args)
-        np_ = npbits.closure(*args)
-        assert np_ == py
-        # Value transparency: plain python ints, not numpy scalars.
-        assert all(type(x) is int for row in np_ for x in row)
+        _assert_closure_matches_dfs(_random_dag(rng, n, density))
 
 
-@needs_numpy
 def test_closure_parity_random_dags():
     """200 random dags across sizes and densities (the property sweep)."""
     rng = random.Random(0xDA6)
     for _ in range(200):
         n = rng.randint(0, 40)
-        dag = _random_dag(rng, n, rng.choice((0.05, 0.2, 0.5, 0.8)))
-        args = _closure_inputs(dag)
-        assert npbits.closure(*args) == pybits.closure(*args)
+        _assert_closure_matches_dfs(
+            _random_dag(rng, n, rng.choice((0.05, 0.2, 0.5, 0.8)))
+        )
 
 
-@needs_numpy
 def test_closure_parity_extreme_densities():
     """The empty and the complete dag — all-zero and all-ones rows."""
     for n in (4, 64, 65):
-        empty = Dag(n, ())
-        full = Dag(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        for dag in (empty, full):
-            args = _closure_inputs(dag)
-            assert npbits.closure(*args) == pybits.closure(*args)
+        _assert_closure_matches_dfs(Dag(n, ()))
+        _assert_closure_matches_dfs(
+            Dag(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        )
 
 
 # ---------------------------------------------------------------------------
-# Race-pair parity
+# Race pairs vs the naive per-pair sweep
 # ---------------------------------------------------------------------------
 
 
-def _random_loc_masks(rng: random.Random, n: int, locs: int):
-    universe = (1 << n) - 1
-    masks = []
-    for _ in range(locs):
-        amask = rng.getrandbits(n) if n else 0
-        wmask = amask & rng.getrandbits(n) if n else 0
-        if wmask:
-            masks.append((amask, wmask))
-    return masks or [(universe, universe)]
+def _assert_races_match_naive(dag: Dag, ops) -> None:
+    comp = Computation(dag, ops)
+    assert list(_find_races_impl(comp)) == list(find_races_naive(comp))
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "n", [1, 5, 17, 63, 64, 65, 100], ids=lambda n: f"n{n}"
 )
 def test_race_pairs_parity(n):
     rng = random.Random(0xACE5 + n)
+    alphabet = [N] + [f(loc) for loc in ("x", "y", "z") for f in (R, W)]
     for density in (0.1, 0.5):
         dag = _random_dag(rng, n, density)
-        desc, anc = pybits.closure(*_closure_inputs(dag))
-        loc_masks = _random_loc_masks(rng, n, 3)
-        assert npbits.race_pairs(n, desc, anc, loc_masks) == pybits.race_pairs(
-            n, desc, anc, loc_masks
-        )
+        _assert_races_match_naive(dag, [rng.choice(alphabet) for _ in range(n)])
 
 
-@needs_numpy
 def test_race_pairs_parity_empty_and_full_masks():
     n = 70
     dag = _random_dag(random.Random(7), n, 0.3)
-    desc, anc = pybits.closure(*_closure_inputs(dag))
-    universe = (1 << n) - 1
-    for loc_masks in (
-        [],
-        [(universe, universe)],  # everything writes: all write-write
-        [(universe, 1)],  # single writer, everyone else reads
-        [(bits([0, 64, 69]), bits([64]))],  # straddles the word boundary
+    straddle = [N] * n  # accessors straddle the word boundary
+    straddle[0], straddle[64], straddle[69] = R("x"), W("x"), R("x")
+    for ops in (
+        [N] * n,  # no location at all
+        [W("x")] * n,  # everything writes: all write-write
+        [W("x")] + [R("x")] * (n - 1),  # single writer, everyone reads
+        [R("x")] * n,  # readers only: never a race
+        straddle,
     ):
-        assert npbits.race_pairs(n, desc, anc, loc_masks) == pybits.race_pairs(
-            n, desc, anc, loc_masks
-        )
+        _assert_races_match_naive(dag, ops)
 
 
-@needs_numpy
-def test_find_races_identical_across_backends():
-    """End-to-end: the race oracle's output is backend-independent."""
-    from repro.core.computation import Computation
-    from repro.verify.races import _find_races_impl
+def test_find_races_matches_naive_on_random_computations():
+    """End-to-end through the memoized public entry point."""
+    from repro.verify.races import find_races
 
     rng = random.Random(21)
     for _ in range(20):
         n = rng.randint(1, 9)
         dag = _random_dag(rng, n, 0.4)
         ops = [rng.choice((R("x"), W("x"), R("y"), W("y"))) for _ in range(n)]
-        with use_kernel("python"):
-            want = _find_races_impl(Computation(dag, ops))
-        with use_kernel("numpy"):
-            # A fresh Computation so the closure is recomputed, not reused.
-            got = _find_races_impl(Computation(Dag(n, dag.edges), ops))
-        assert got == want
+        comp = Computation(dag, ops)
+        assert list(find_races(comp)) == list(find_races_naive(comp))
 
 
 # ---------------------------------------------------------------------------
-# Inclusion-fold and quotient parity
+# Inclusion fold vs the direct product, quotient vs DFS cycle check
 # ---------------------------------------------------------------------------
 
 
-@needs_numpy
+def _direct_product(num_models: int, verdicts) -> list[int]:
+    """bad[i] bit j set iff some row has i true and j false."""
+    return [
+        sum(
+            1 << j
+            for j in range(num_models)
+            if any(row[i] and not row[j] for row in verdicts)
+        )
+        for i in range(num_models)
+    ]
+
+
 def test_inclusion_fold_parity():
     rng = random.Random(0xF01D)
     for num_models in (1, 2, 7):
-        for rows in (0, 1, 5, 4097):  # 4097 crosses the numpy chunk size
+        for rows in (0, 1, 5, 4097):
             verdicts = [
                 tuple(rng.random() < 0.5 for _ in range(num_models))
                 for _ in range(rows)
             ]
-            assert npbits.inclusion_fold(
+            assert kernels.inclusion_fold(
                 num_models, iter(verdicts)
-            ) == pybits.inclusion_fold(num_models, iter(verdicts))
+            ) == _direct_product(num_models, verdicts)
 
 
-@needs_numpy
 def test_inclusion_fold_matches_direct_product():
-    """bad[i] bit j set iff some row has i true and j false."""
     verdicts = [(True, False, True), (True, True, True), (False, True, False)]
-    want = pybits.inclusion_fold(3, iter(verdicts))
-    for i in range(3):
-        for j in range(3):
-            expect = any(row[i] and not row[j] for row in verdicts)
-            assert bool((want[i] >> j) & 1) == expect
-    assert npbits.inclusion_fold(3, iter(verdicts)) == want
+    assert kernels.inclusion_fold(3, iter(verdicts)) == [0b010, 0b101, 0b010]
+    assert _direct_product(3, verdicts) == [0b010, 0b101, 0b010]
+    # Degenerate rows: all-true and all-false refute nothing.
+    assert kernels.inclusion_fold(3, iter([(True,) * 3, (False,) * 3])) == [0] * 3
 
 
-@needs_numpy
+def _dfs_has_cycle(k: int, srcs, dsts) -> bool:
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for u, v in zip(srcs, dsts):
+        adj[u].append(v)
+    color = [0] * k  # 0 white, 1 on the stack, 2 done
+
+    def visit(u: int) -> bool:
+        color[u] = 1
+        for v in adj[u]:
+            if color[v] == 1 or (color[v] == 0 and visit(v)):
+                return True
+        color[u] = 2
+        return False
+
+    return any(color[u] == 0 and visit(u) for u in range(k))
+
+
 def test_quotient_is_acyclic_parity():
     rng = random.Random(0xACDC)
     for _ in range(100):
@@ -217,149 +234,38 @@ def test_quotient_is_acyclic_parity():
         ]
         srcs = [u for u, _ in edges]
         dsts = [v for _, v in edges]
-        assert npbits.quotient_is_acyclic(k, srcs, dsts) == (
-            pybits.quotient_is_acyclic(k, srcs, dsts)
+        assert kernels.quotient_is_acyclic(k, srcs, dsts) == (
+            not _dfs_has_cycle(k, srcs, dsts)
         )
 
 
 def test_quotient_oracle_basics():
-    assert pybits.quotient_is_acyclic(0, [], [])
-    assert pybits.quotient_is_acyclic(3, [0, 1], [1, 2])
-    assert not pybits.quotient_is_acyclic(2, [0, 1], [1, 0])
-    assert not pybits.quotient_is_acyclic(1, [0], [0])  # self-loop
+    assert kernels.quotient_is_acyclic(0, [], [])
+    assert kernels.quotient_is_acyclic(3, [0, 1], [1, 2])
+    assert not kernels.quotient_is_acyclic(2, [0, 1], [1, 0])
+    assert not kernels.quotient_is_acyclic(1, [0], [0])  # self-loop
 
 
 # ---------------------------------------------------------------------------
-# Whole-universe parity (the exhaustive n ≤ 4 sweep of the issue)
+# Whole-universe: the folded sweep vs the definition of inclusion
 # ---------------------------------------------------------------------------
 
 
-@needs_numpy
-def test_inclusion_matrix_backend_independent():
-    """The full serial inclusion sweep agrees across forced backends."""
+def test_inclusion_matrix_matches_direct_definition():
+    """``x ⊆ y`` iff every pair of the universe in ``x`` is in ``y``."""
     from repro.models import CC, LC, SC
     from repro.models.relations import inclusion_matrix
 
     universe = Universe(max_nodes=3, locations=("x",))
-    with use_kernel("python"):
-        want = inclusion_matrix([SC, LC, CC], universe)
-    with use_kernel("numpy"):
-        got = inclusion_matrix([SC, LC, CC], universe)
-    assert got == want
+    models = [SC, LC, CC]
+    rows = [
+        tuple(m.contains(comp, phi) for m in models)
+        for comp, phi in universe.pairs()
+    ]
+    want = {
+        (x.name, y.name): all(r[j] for r in rows if r[i])
+        for i, x in enumerate(models)
+        for j, y in enumerate(models)
+    }
+    assert inclusion_matrix(models, universe) == want
     assert want[("SC", "LC")]  # SC is strongest; always included upward
-
-
-# ---------------------------------------------------------------------------
-# Dispatch behaviour
-# ---------------------------------------------------------------------------
-
-
-def test_invalid_mode_raises_config_error(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "cuda")
-    with pytest.raises(ConfigError):
-        kernels.backend_name()
-    with pytest.raises(ValueError):  # ConfigError is a ValueError too
-        kernels.closure(*_closure_inputs(Dag(2, [(0, 1)])))
-
-
-def test_blank_mode_means_auto(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "  ")
-    assert kernels.backend_name() in ("python", "numpy")
-
-
-def test_python_mode_forces_oracle(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "python")
-    assert kernels.backend_name() == "python"
-    assert kernels.backend_name(10**6) == "python"
-
-
-def test_use_kernel_overrides_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "python")
-    with use_kernel("auto"):
-        assert kernels.backend_name(4) == (
-            "python"  # below the size gate either way
-        )
-    with pytest.raises(ConfigError):
-        with use_kernel("fortran"):
-            pass  # pragma: no cover - the context must not be entered
-    assert kernels.backend_name() == "python"  # restored
-
-
-def test_numpy_forced_but_missing_is_config_error(monkeypatch):
-    """REPRO_KERNEL=numpy on a numpy-less install fails loudly, not with
-    an ImportError from some call stack deep inside a sweep."""
-    monkeypatch.setattr(kernels, "_NP_CACHE", None)
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    with pytest.raises(ConfigError):
-        kernels.backend_name()
-    with pytest.raises(ConfigError):
-        kernels.closure(*_closure_inputs(Dag(2, [(0, 1)])))
-    with pytest.raises(ConfigError):
-        kernels.race_pairs(1, [0], [0], [])
-    assert isinstance(ConfigError("x"), ReproError)
-
-
-def test_auto_without_numpy_falls_back(monkeypatch):
-    monkeypatch.setattr(kernels, "_NP_CACHE", None)
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert not kernels.numpy_available()
-    assert kernels.backend_name() == "python"
-    assert kernels.kernel_info()["kernel"] == "python"
-    assert kernels.kernel_info()["numpy"] is None
-    dag = Dag(3, [(0, 1), (1, 2)])
-    desc, anc = kernels.closure(*_closure_inputs(dag))
-    assert desc == [0b110, 0b100, 0]
-    assert anc == [0, 0b001, 0b011]
-
-
-def test_min_nodes_env_gate(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    monkeypatch.setenv("REPRO_KERNEL_MIN_NODES", "not-a-number")
-    if kernels.numpy_available():
-        with pytest.raises(ConfigError):
-            kernels.backend_name(100)
-    monkeypatch.setenv("REPRO_KERNEL_MIN_NODES", "3")
-    if kernels.numpy_available():
-        assert kernels.backend_name(2) == "python"
-        assert kernels.backend_name(3) == "numpy"
-
-
-@needs_numpy
-def test_auto_closure_gates_on_size_and_density(monkeypatch):
-    """auto sends only large *and* dense dags to numpy (empirical gate).
-
-    The shipped thresholds sit at n=1024 (too slow to exercise here), so
-    the gates are lowered to keep the *logic* under test: both the size
-    and the density bound must pass before numpy is picked.
-    """
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    monkeypatch.setenv("REPRO_KERNEL_MIN_NODES", "64")
-    monkeypatch.setattr(kernels, "NUMPY_MIN_AVG_DEGREE", 16)
-    from repro import obs
-
-    def backend_used(dag: Dag) -> str:
-        obs.enable()
-        try:
-            kernels.closure(*_closure_inputs(dag))
-            counters = dict(obs.counters())
-        finally:
-            obs.disable()
-            obs.reset()
-        if counters.get("kernel.closure.numpy"):
-            return "numpy"
-        assert counters.get("kernel.closure.python")
-        return "python"
-
-    small = Dag(8, [(u, u + 1) for u in range(7)])
-    assert backend_used(small) == "python"
-    n = 80
-    sparse = Dag(n, [(u, u + 1) for u in range(n - 1)])
-    assert backend_used(sparse) == "python"
-    dense = Dag(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    assert backend_used(dense) == "numpy"
-
-
-def test_kernel_info_shape():
-    info = kernels.kernel_info()
-    assert set(info) == {"kernel", "numpy"}
-    assert info["kernel"] in ("python", "numpy")

@@ -157,40 +157,35 @@ def test_gate_never_compares_quick_against_full():
     assert report.deltas[0].verdict == "new"
 
 
-def test_gate_never_compares_across_kernel_backends():
-    # A wall-clock baseline recorded under one bitset backend says
-    # nothing about the other (forced numpy is a measured ~4x slowdown
-    # on the sweep battery): history with a different env.kernel must
-    # be invisible, exactly like the quick/full and cpu-affinity splits.
+def test_legacy_kernel_fields_validate_and_compare_like_any_record():
+    # Records written while two bitset backends existed carry
+    # env.kernel/env.numpy; they still validate, and the gate compares
+    # them with fresh records exactly like any other history.
     history = _history([1.0] * 5)
-    for rec in history:
-        rec["env"]["kernel"] = "python"
-    cand = _rec(p50=4.0)
-    cand["env"]["kernel"] = "numpy"
-    report = compare_records(history, [cand])
-    assert report.deltas[0].verdict == "new"
-    assert report.ok
-    # Same backend: the 4x blowup is caught again.
-    cand["env"]["kernel"] = "python"
-    assert compare_records(history, [cand]).deltas[0].verdict == "regressed"
+    for rec, kernel in zip(history, ["numpy", "python", "numpy", "python", "numpy"]):
+        rec["env"]["kernel"] = kernel
+        rec["env"]["numpy"] = "2.4.6"
+        assert validate_record(rec) == []
+    assert "kernel" not in _rec()["env"]
+    assert compare_records(history, [_rec(p50=1.01)]).deltas[0].verdict == "flat"
+    assert compare_records(history, [_rec(p50=4.0)]).deltas[0].verdict == "regressed"
 
 
 def test_gate_treats_legacy_records_as_python_kernel():
-    # Records written before the kernel fingerprint existed all ran the
-    # pure-python backend; they baseline python candidates, not numpy.
+    # Records written before the kernel fingerprint existed ran the
+    # pure-python kernels, the only backend left, so they baseline
+    # every fresh candidate.
     history = _history([1.0] * 5)
     for rec in history:
         rec["env"].pop("kernel", None)
         rec["env"].pop("numpy", None)
     assert validate_record(history[0]) == []
-    cand = _rec(p50=1.01)
-    cand["env"]["kernel"] = "python"
-    assert compare_records(history, [cand]).deltas[0].verdict == "flat"
-    cand["env"]["kernel"] = "numpy"
-    assert compare_records(history, [cand]).deltas[0].verdict == "new"
+    assert compare_records(history, [_rec(p50=1.01)]).deltas[0].verdict == "flat"
+    assert compare_records(history, [_rec(p50=4.0)]).deltas[0].verdict == "regressed"
 
 
 def test_validate_rejects_blank_kernel():
+    # A present env.kernel must still be a non-empty string.
     rec = _rec()
     rec["env"]["kernel"] = ""
     assert any("kernel" in e for e in validate_record(rec))

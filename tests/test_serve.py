@@ -61,6 +61,53 @@ def lines_for(*traces):
     return [json.dumps(dump_trace(t)) for t in traces]
 
 
+def bottom_trace(ordered):
+    """One W and two R of it, the first read observing ⊥.
+
+    Unordered (``ordered=False``), the reads sit on the writer's
+    processor after it and on another processor at the same step, and
+    LC admits.  Ordered, both reads follow the write, so the ⊥ read is
+    an LC violation.  Either way, swapping the reads is an automorphism
+    of the dag and ops that only the observer tells apart.
+    """
+    ops = (W("x"), R("x"), R("x"))
+    if ordered:
+        comp = Computation(Dag(3, [(0, 1), (0, 2)]), ops)
+        sched = Schedule(comp, (0, 0, 1), (0, 1, 1), 2)
+    else:
+        comp = Computation(Dag(3, []), ops)
+        sched = Schedule(comp, (1, 0, 1), (0, 0, 1), 2)
+    return ExecutionTrace(
+        comp, sched, "backer", [ReadEvent(1, "x", None), ReadEvent(2, "x", 0)]
+    )
+
+
+def relabel_trace(trace, perm):
+    """The isomorphic trace with node ``u`` renamed ``perm[u]``."""
+    comp, sched = trace.comp, trace.schedule
+    n = comp.num_nodes
+    ops, proc_of, start_of = [None] * n, [0] * n, [0] * n
+    for u in range(n):
+        ops[perm[u]] = comp.ops[u]
+        proc_of[perm[u]] = sched.proc_of[u]
+        start_of[perm[u]] = sched.start_of[u]
+    new = Computation(
+        Dag(n, [(perm[a], perm[b]) for a, b in comp.dag.edges]), tuple(ops)
+    )
+    reads = [
+        ReadEvent(
+            perm[e.node], e.loc, None if e.observed is None else perm[e.observed]
+        )
+        for e in trace.reads
+    ]
+    return ExecutionTrace(
+        new,
+        Schedule(new, tuple(proc_of), tuple(start_of), sched.num_procs),
+        trace.memory_name,
+        reads,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Request parsing and fingerprinting
 # ---------------------------------------------------------------------------
@@ -124,6 +171,43 @@ class TestParsing:
         key_a, _ = request_fingerprint(obj, CheckOptions(checks=("lc",)))
         key_b, _ = request_fingerprint(obj, CheckOptions(checks=("sc",)))
         assert key_a != key_b
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_bottom_reads_fingerprint_and_check_under_every_relabelling(
+        self, ordered
+    ):
+        """⊥ next to a node id in the observer must neither crash the
+        fingerprint nor split its isomorphism class."""
+        import itertools
+
+        from repro.io import load_trace
+        from repro.verify import trace_admits_lc
+        from repro.verify.streaming import StreamingLCVerifier
+
+        opts = CheckOptions(checks=("lc", "streaming"))
+        traces = [
+            load_trace(dump_trace(relabel_trace(bottom_trace(ordered), perm)))
+            for perm in itertools.permutations(range(3))
+        ]
+        keys = {request_fingerprint(t, opts)[0] for t in traces}
+        assert len(keys) == 1
+        with TraceCheckService(options=opts, jobs=1) as svc:
+            results = svc.check_batch(lines_for(*traces))
+        assert sum(r.cached for r in results) == len(traces) - 1
+        for item, trace in zip(results, traces):
+            verdict = item.verdict
+            assert verdict["ok"], verdict
+            violation = StreamingLCVerifier.check_trace(trace)
+            lc = trace_admits_lc(trace.partial_observer())
+            assert verdict["verdicts"] == {
+                "lc": lc,
+                "streaming": violation is None,
+            }
+            assert lc is not ordered
+            if ordered:
+                # The witness names this submitter's ⊥ read.
+                (bottom_read,) = [e.node for e in trace.reads if e.observed is None]
+                assert verdict["witness"]["node"] == violation.node == bottom_read
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +568,9 @@ def _start_server(tmp_path, *extra_args):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=err,
+        # Own process group, so a SIGKILL test can take the pool
+        # workers down with the server instead of orphaning them.
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 30
@@ -554,8 +641,8 @@ def test_http_sigkill_journal_replays_consistently(tmp_path):
         body = "\n".join(lines_for(good_trace(), bad_trace()))
         rows = [json.loads(ln) for ln in _post(port, body).splitlines()]
         assert len(rows) == 2
-        # SIGKILL: no drain, no journal_close record.
-        proc.kill()
+        # SIGKILL the whole group: no drain, no journal_close record.
+        os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=10)
         ledger = replay_serve_ledger(str(journal))
         assert not ledger["clean"]
@@ -566,7 +653,7 @@ def test_http_sigkill_journal_replays_consistently(tmp_path):
         assert validate_trace(doc) == []
     finally:
         if proc.poll() is None:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
 
 
