@@ -27,11 +27,12 @@ enumeration space that any process can regenerate independently (see
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Iterator
 
 from repro import _caching
+from repro.dag.canon import canonical_labelling
 from repro.dag.digraph import Dag
 
 __all__ = ["ordered_dags", "unique_dags", "canonical_form", "num_edge_masks"]
@@ -61,9 +62,11 @@ def ordered_dags(n: int, start: int = 0, stop: int | None = None) -> Iterator[Da
 def canonical_form(dag: Dag) -> frozenset[tuple[int, int]]:
     """A canonical edge set for the isomorphism class of ``dag``.
 
-    Brute-force over all node permutations; only intended for the tiny
-    dags (n <= 6) used in exhaustive universes.  The canonical form is the
-    lexicographically least sorted edge tuple over all relabellings.
+    The edge set of ``dag`` relabelled by
+    :func:`repro.dag.canon.canonical_labelling` with every node coloured
+    alike: colour refinement by degree structure splits the nodes into
+    cells, and only relabellings that respect the cells are searched.
+    Two dags get the same form iff they are isomorphic.
 
     Memoized: universes revisit the same dag shapes across op labellings
     and sweep rounds, and :class:`Dag` hashes by value, so repeat lookups
@@ -75,14 +78,8 @@ def canonical_form(dag: Dag) -> frozenset[tuple[int, int]]:
 
 
 def _canonical_form_impl(dag: Dag) -> frozenset[tuple[int, int]]:
-    n = dag.num_nodes
-    best: tuple[tuple[int, int], ...] | None = None
-    for perm in permutations(range(n)):
-        relabeled = tuple(sorted((perm[u], perm[v]) for (u, v) in dag.edges))
-        if best is None or relabeled < best:
-            best = relabeled
-    assert best is not None or n == 0
-    return frozenset(best or ())
+    (edges, _, _), _ = canonical_labelling(dag.num_nodes, dag.edges)
+    return frozenset(edges)
 
 
 _canonical_form_cached = lru_cache(maxsize=1 << 16)(_canonical_form_impl)

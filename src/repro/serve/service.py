@@ -6,15 +6,17 @@ One request = one JSONL line: either a bare :mod:`repro.io` document
 "sanitize": ..., "rules": [...]}`` overriding the server's default
 :class:`CheckOptions` for that item.
 
-Deduplication is by *canonical fingerprint*: for small dags the
-request's ``(edges, ops, constraints, schedule)`` tuple is minimized
-jointly over all node relabellings (anchored on
-:func:`repro.dag.enumerate.canonical_form`, which fixes the canonical
-edge set), so isomorphic resubmissions — the common shape of generated
-litmus batches — hit the verdict cache even when node ids differ.  The
-cache entry remembers the first request's canonical permutation, and a
-hit from a *relabelled* twin has its witness node ids translated into
-the new request's id space (the same translation discipline as
+Deduplication is by *canonical fingerprint*: for dags of at most
+:data:`CANON_NODE_LIMIT` nodes the request's ``(edges, ops, constraints,
+schedule)`` is put in canonical labelling by
+:func:`repro.dag.canon.canonical_labelling`.  Colour refinement splits
+the nodes into cells (a schedule row alone usually singles a node out),
+and only relabellings that respect the cells are searched, so
+isomorphic resubmissions — the common shape of generated litmus
+batches — hit the verdict cache even when node ids differ.  The cache
+entry remembers the first request's canonical permutation, and a hit
+from a *relabelled* twin has its witness node ids translated into the
+new request's id space (the same translation discipline as
 :meth:`repro.verify.streaming.StreamingViolation.translated`).  Larger
 dags fall back to the exact fingerprint: only identical resubmissions
 dedupe, which is still the dominant case and never unsound.
@@ -34,7 +36,6 @@ work.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro import obs
+from repro.dag.canon import canonical_labelling
 from repro.errors import ReproError
 from repro.obs import context as trace_context
 from repro.obs.context import TraceContext
@@ -76,11 +78,12 @@ KNOWN_CHECKS = ("lc", "sc", "streaming")
 """The model checks a request may ask for."""
 
 CANON_NODE_LIMIT = 7
-"""Largest dag canonicalized by brute force for isomorphism dedupe.
+"""Largest dag put in canonical labelling for isomorphism dedupe.
 
-Past this the fingerprint is exact (same bound regime as
-:func:`repro.dag.enumerate.canonical_form`): only identical
-resubmissions dedupe, never a wrong merge.
+The canonical search tries the cell-respecting relabellings, up to
+``n!`` when colour refinement cannot split the nodes and they are not
+twins; the limit caps that worst case.  Past it the fingerprint is
+exact: only identical resubmissions dedupe, never a wrong merge.
 """
 
 _LOADERS = {
@@ -210,12 +213,13 @@ def _signature_parts(obj: Any) -> tuple[Any, tuple, tuple]:
     if isinstance(obj, PartialObserver):
         return obj.comp, tuple(obj.entries()), ()
     if isinstance(obj, ObserverFunction):
+        comp = obj.computation
         triples = tuple(
             (loc, u, obj.value(loc, u))
-            for loc in obj.locations()
-            for u in range(obj.comp.num_nodes)
+            for loc in obj.locations
+            for u in range(comp.num_nodes)
         )
-        return obj.comp, triples, ()
+        return comp, triples, ()
     if isinstance(obj, Computation):
         return obj, (), ()
     raise FormatError(f"cannot fingerprint {type(obj).__name__!r}")
@@ -228,53 +232,27 @@ def request_fingerprint(
 
     The permutation maps the request's node ids to canonical ids; it is
     the identity whenever the dag is above :data:`CANON_NODE_LIMIT`
-    (exact-match fingerprint) or the request already sits in canonical
-    labelling.  Two requests share a key **iff** they are isomorphic as
-    constrained, scheduled computations under the same options — so a
-    cache hit is always sound, and witnesses translate through the two
-    permutations.
+    (exact-match fingerprint).  Two requests share a key **iff** they
+    are isomorphic as constrained, scheduled computations under the same
+    options — so a cache hit is always sound, and witnesses translate
+    through the two permutations.
     """
     comp, triples, rows = _signature_parts(obj)
     n = comp.num_nodes
-    edges = sorted(comp.dag.edges)
     ops_sig = tuple((op.kind, repr(op.loc)) for op in comp.ops)
     # ⊥ (``None``) becomes -1, which sorts below every node id: a
     # ``(loc, u, None)`` entry must stay comparable with ``(loc, u, v)``.
     cons = tuple(
         sorted((repr(loc), u, -1 if v is None else v) for loc, u, v in triples)
     )
-    identity = tuple(range(n))
     if n > CANON_NODE_LIMIT:
-        key = ("exact", n, tuple(edges), ops_sig, cons, rows, options.key())
-        return key, identity
+        edges = tuple(sorted(comp.dag.edges))
+        key = ("exact", n, edges, ops_sig, cons, rows, options.key())
+        return key, tuple(range(n))
 
-    from repro.dag.enumerate import canonical_form
-
-    canon_edges = tuple(sorted(canonical_form(comp.dag)))
-    best: tuple | None = None
-    best_perm = identity
-    for perm in itertools.permutations(range(n)):
-        e = tuple(sorted((perm[a], perm[b]) for a, b in edges))
-        if e != canon_edges:
-            continue
-        new_ops: list = [None] * n
-        new_rows: list = [None] * n if rows else []
-        for u in range(n):
-            new_ops[perm[u]] = ops_sig[u]
-            if rows:
-                new_rows[perm[u]] = rows[u]
-        c = tuple(
-            sorted(
-                (loc, perm[u], v if v < 0 else perm[v])
-                for loc, u, v in cons
-            )
-        )
-        cand = (tuple(new_ops), c, tuple(new_rows))
-        if best is None or cand < best:
-            best, best_perm = cand, perm
-    assert best is not None  # identity always achieves canon_edges's class
-    key = ("canon", n, canon_edges) + best + (options.key(),)
-    return key, best_perm
+    labels = tuple(zip(ops_sig, rows)) if rows else ops_sig
+    cert, perm = canonical_labelling(n, comp.dag.edges, labels, cons)
+    return ("canon", n) + cert + (options.key(),), perm
 
 
 def _compose_remap(
@@ -565,7 +543,7 @@ def _check_trace(trace: Any, options: CheckOptions) -> dict:
 def _check_observer(phi: Any, options: CheckOptions) -> dict:
     from repro.models import LC, SC
 
-    comp = phi.comp
+    comp = phi.computation
     verdicts: dict[str, bool | None] = {}
     if "lc" in options.checks:
         verdicts["lc"] = LC.contains(comp, phi)

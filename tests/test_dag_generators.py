@@ -1,9 +1,11 @@
 """Tests for random dag generators, SP algebra, and dag enumeration."""
 
 import random
+from itertools import permutations
 
 import pytest
 
+from repro.core import Computation, W, relabel_computation
 from repro.dag import (
     Dag,
     balanced_sp,
@@ -22,6 +24,7 @@ from repro.dag import (
     sp_to_dag,
     unique_dags,
 )
+from repro.dag.canon import canonical_labelling
 
 
 class TestGnp:
@@ -173,6 +176,47 @@ class TestEnumeration:
         a = Dag(3, [(0, 1)])
         b = Dag(3, [(0, 1), (0, 2)])
         assert canonical_form(a) != canonical_form(b)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_canonical_form_agrees_with_brute_force_on_every_ordered_dag(
+        self, n
+    ):
+        """Two dags share a canonical form iff the oracle's forms agree,
+        and each form is the edge set of an isomorphic dag."""
+        pairs = set()
+        for dag in ordered_dags(n):
+            form = canonical_form(dag)
+            oracle = brute_force_canonical_form(dag)
+            assert brute_force_canonical_form(Dag(n, form)) == oracle
+            pairs.add((form, oracle))
+        forms = {form for form, _ in pairs}
+        oracles = {oracle for _, oracle in pairs}
+        assert len(pairs) == len(forms) == len(oracles)
+
+    def test_one_cell_of_seven_identical_nodes_gets_one_key(self):
+        """No edges and one op everywhere: refinement leaves a single
+        7-node cell, which every relabelling must still resolve to one
+        key (all ``7!`` orders tie; the nodes are twins)."""
+        comp = Computation(Dag(7), (W("x"),) * 7)
+        rng = random.Random(0)
+        keys = set()
+        for _ in range(20):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            moved = relabel_computation(comp, perm)
+            labels = [(op.kind, repr(op.loc)) for op in moved.ops]
+            cert, canon = canonical_labelling(7, moved.dag.edges, labels)
+            assert sorted(canon) == list(range(7))
+            keys.add(cert)
+        assert len(keys) == 1
+
+
+def brute_force_canonical_form(dag):
+    """The least sorted edge tuple over all ``n!`` relabellings."""
+    return min(
+        tuple(sorted((perm[u], perm[v]) for u, v in dag.edges))
+        for perm in permutations(range(dag.num_nodes))
+    )
 
 
 class TestRngCoercion:

@@ -6,8 +6,10 @@ isomorphic) canonical forms, SIGTERM draining in-flight work, and
 SIGKILL + journal replay yielding a ``validate_trace``-clean record.
 """
 
+import itertools
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -17,13 +19,23 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import Computation, R, W
+from repro.core import (
+    Computation,
+    N,
+    ObserverFunction,
+    R,
+    W,
+    relabel_computation,
+    relabel_observer,
+)
 from repro.dag import Dag
 from repro.io import dump_partial_observer, dump_trace
-from repro.runtime import ExecutionTrace, ReadEvent
-from repro.runtime.scheduler import Schedule
+from repro.runtime import ExecutionTrace, PartialObserver, ReadEvent
+from repro.runtime.scheduler import Schedule, greedy_schedule
 from repro.serve import (
     CheckOptions,
     TraceCheckService,
@@ -32,6 +44,8 @@ from repro.serve import (
     request_fingerprint,
     run_batch_file,
 )
+from repro.serve.service import _signature_parts
+from tests.conftest import computations, computations_with_observer
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -178,8 +192,6 @@ class TestParsing:
     ):
         """⊥ next to a node id in the observer must neither crash the
         fingerprint nor split its isomorphism class."""
-        import itertools
-
         from repro.io import load_trace
         from repro.verify import trace_admits_lc
         from repro.verify.streaming import StreamingLCVerifier
@@ -208,6 +220,224 @@ class TestParsing:
                 # The witness names this submitter's ⊥ read.
                 (bottom_read,) = [e.node for e in trace.reads if e.observed is None]
                 assert verdict["witness"]["node"] == violation.node == bottom_read
+
+
+# ---------------------------------------------------------------------------
+# Canonical fingerprints against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def brute_force_key(obj, options):
+    """The fingerprint key by exhaustive search (the oracle, n <= 7).
+
+    The least ``(edges, ops, constraints, rows)`` over all ``n!``
+    relabellings, with ⊥ encoded as -1; the service's canonical
+    labelling must induce exactly the same key classes.
+    """
+    comp, triples, rows = _signature_parts(obj)
+    n = comp.num_nodes
+    ops_sig = tuple((op.kind, repr(op.loc)) for op in comp.ops)
+    cons = [(repr(loc), u, -1 if v is None else v) for loc, u, v in triples]
+    best = None
+    for perm in itertools.permutations(range(n)):
+        new_ops, new_rows = [None] * n, [None] * n if rows else []
+        for u in range(n):
+            new_ops[perm[u]] = ops_sig[u]
+            if rows:
+                new_rows[perm[u]] = rows[u]
+        cand = (
+            tuple(sorted((perm[a], perm[b]) for a, b in comp.dag.edges)),
+            tuple(new_ops),
+            tuple(
+                sorted((loc, perm[u], v if v < 0 else perm[v]) for loc, u, v in cons)
+            ),
+            tuple(new_rows),
+        )
+        if best is None or cand < best:
+            best = cand
+    return ("brute", n) + best + (options.key(),)
+
+
+def relabel_request(obj, perm):
+    """Any fingerprintable request with node ``u`` renamed ``perm[u]``."""
+    if isinstance(obj, ExecutionTrace):
+        return relabel_trace(obj, perm)
+    if isinstance(obj, Computation):
+        return relabel_computation(obj, perm)
+    if isinstance(obj, ObserverFunction):
+        comp = relabel_computation(obj.computation, perm)
+        return relabel_observer(obj, perm, comp)
+    comp = relabel_computation(obj.comp, perm)
+    constraints = {}
+    for loc, u, v in obj.entries():
+        constraints.setdefault(loc, {})[perm[u]] = None if v is None else perm[v]
+    return PartialObserver(comp, constraints)
+
+
+def request_certificate(obj):
+    """``(edges, labels, constraints)`` of a request as it is numbered:
+    what the canonical key spells out for its canonical relabelling."""
+    comp, triples, rows = _signature_parts(obj)
+    ops_sig = tuple((op.kind, repr(op.loc)) for op in comp.ops)
+    return (
+        tuple(sorted(comp.dag.edges)),
+        tuple(zip(ops_sig, rows)) if rows else ops_sig,
+        tuple(
+            sorted((repr(loc), u, -1 if v is None else v) for loc, u, v in triples)
+        ),
+    )
+
+
+LOCS = ("x", "y")
+
+
+@st.composite
+def symmetric_computations(draw):
+    """No edges and one op everywhere: every node lands in one cell."""
+    n = draw(st.integers(0, 6))
+    op = draw(st.sampled_from([R("x"), W("x"), N]))
+    return Computation(Dag(n), (op,) * n)
+
+
+@st.composite
+def observers(draw):
+    _, phi = draw(computations_with_observer(max_nodes=6, locations=LOCS))
+    return phi
+
+
+@st.composite
+def partial_observers(draw):
+    """An observer restricted to some of its entries (⊥ reads included)."""
+    _, phi = draw(computations_with_observer(max_nodes=6, locations=LOCS))
+    constraints = {}
+    for loc in phi.locations:
+        for u in range(phi.computation.num_nodes):
+            if draw(st.booleans()):
+                constraints.setdefault(loc, {})[u] = phi.value(loc, u)
+    return PartialObserver(phi.computation, constraints)
+
+
+@st.composite
+def traces(draw):
+    """A schedule with arbitrary reads: each sees ⊥ or an earlier write.
+
+    Every candidate edge is drawn with even odds, so paths are common,
+    and the reads ignore any memory: many traces violate LC and the
+    verdicts carry witnesses.
+    """
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    alphabet = [R(loc) for loc in LOCS] + [W(loc) for loc in LOCS] + [N]
+    comp = Computation(
+        Dag(n, [pair for pair in pairs if draw(st.booleans())]),
+        draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)),
+    )
+    sched = greedy_schedule(comp, draw(st.integers(1, 3)), rng=draw(st.integers(0, 99)))
+    reads = []
+    for u in comp.nodes():
+        op = comp.op(u)
+        if op.is_read:
+            earlier = [
+                w
+                for w in comp.nodes()
+                if comp.op(w).writes(op.loc)
+                and sched.start_of[w] < sched.start_of[u]
+            ]
+            reads.append(
+                ReadEvent(u, op.loc, draw(st.sampled_from([None, *earlier])))
+            )
+    return ExecutionTrace(comp, sched, "test", reads)
+
+
+requests = st.one_of(
+    traces(),
+    partial_observers(),
+    observers(),
+    computations(max_nodes=6, locations=LOCS),
+    symmetric_computations(),
+)
+
+
+def random_relabelling(n, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+@pytest.fixture(scope="module")
+def serve_svc():
+    """One service for a whole property run (a fresh pool per example
+    would dominate the test); its cache carries across examples."""
+    with TraceCheckService(
+        options=CheckOptions(checks=("lc", "streaming")), jobs=1
+    ) as svc:
+        yield svc
+
+
+class TestCanonicalFingerprint:
+    @given(st.lists(requests, min_size=2, max_size=4), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_keys_partition_like_the_oracle(self, objs, seed):
+        """Relabelled copies of each request, and the requests among
+        themselves, share a key exactly when the oracle's keys agree."""
+        opts = CheckOptions()
+        rng = random.Random(seed)
+        pool = []
+        for obj in objs:
+            n = _signature_parts(obj)[0].num_nodes
+            pool.append(obj)
+            pool.append(relabel_request(obj, random_relabelling(n, rng.random())))
+        keys = [request_fingerprint(o, opts)[0] for o in pool]
+        oracle = [brute_force_key(o, opts) for o in pool]
+        for i in range(len(pool)):
+            for j in range(len(pool)):
+                assert (keys[i] == keys[j]) == (oracle[i] == oracle[j])
+        assert keys[0] == keys[1]
+
+    @given(requests)
+    @settings(max_examples=150, deadline=None)
+    def test_permutation_yields_the_canonical_object(self, obj):
+        key, perm = request_fingerprint(obj, CheckOptions())
+        assert sorted(perm) == list(range(len(perm)))
+        assert request_certificate(relabel_request(obj, perm)) == key[2:5]
+
+    def test_pairing_across_cells_is_part_of_the_key(self):
+        """Two writes and two reads, each read seeing its own write:
+        refinement leaves a cell of writes and a cell of reads that are
+        not twins, and only the relation says which read goes with which
+        write.  Every relabelling must still land on one key."""
+        comp = Computation(Dag(4), (W("x"), W("x"), R("x"), R("x")))
+        paired = PartialObserver(comp, {"x": {0: 0, 1: 1, 2: 0, 3: 1}})
+        shared = PartialObserver(comp, {"x": {0: 0, 1: 1, 2: 0, 3: 0}})
+        opts = CheckOptions()
+        keys = {
+            request_fingerprint(relabel_request(paired, perm), opts)[0]
+            for perm in itertools.permutations(range(4))
+        }
+        assert len(keys) == 1
+        assert request_fingerprint(shared, opts)[0] not in keys
+
+    @given(traces(), st.integers(0, 10**6))
+    @example(trace=bad_trace(), seed=1)
+    @example(trace=bottom_trace(ordered=True), seed=2)
+    @settings(max_examples=100, deadline=None)
+    def test_cached_twin_carries_its_own_streaming_witness(
+        self, serve_svc, trace, seed
+    ):
+        """A relabelled twin answered from the cache reports the witness
+        node the streaming verifier finds on the twin itself."""
+        from repro.verify.streaming import StreamingLCVerifier
+
+        twin = relabel_trace(
+            trace, random_relabelling(trace.comp.num_nodes, seed)
+        )
+        first, second = serve_svc.check_batch(lines_for(trace, twin))
+        assert second.cached
+        for item, t in ((first, trace), (second, twin)):
+            violation = StreamingLCVerifier.check_trace(t)
+            assert item.verdict["verdicts"]["streaming"] is (violation is None)
+            if violation is not None:
+                assert item.verdict["witness"]["node"] == violation.node
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +528,21 @@ class TestService:
             (item,) = svc.check_batch([line])
         assert item.verdict["kind"] == "partial-observer"
         assert item.verdict["verdicts"]["lc"] is True
+
+    def test_observer_documents_check_and_dedupe(self):
+        """An observer and its relabelled twin: one check, one hit."""
+        from repro.io import dump_observer
+
+        comp = Computation(Dag(3, [(0, 1)]), (W("x"), R("x"), R("x")))
+        phi = ObserverFunction(comp, {"x": (0, 0, None)})
+        twin = relabel_request(phi, [2, 0, 1])
+        lines = [json.dumps(dump_observer(o)) for o in (phi, twin)]
+        with TraceCheckService(jobs=1) as svc:
+            first, second = svc.check_batch(lines)
+        assert first.verdict["kind"] == "observer"
+        assert first.verdict["verdicts"] == {"lc": True, "sc": True}
+        assert second.cached
+        assert second.verdict["verdicts"] == first.verdict["verdicts"]
 
     def test_sanitize_and_rules_ride_along(self):
         options = CheckOptions(sanitize=True, rules=("RACE001",))
