@@ -21,44 +21,18 @@ def make_trace(comp, procs, seed, drop=0.0):
     return execute(sched, mem)
 
 
-def test_streaming_on_long_trace(benchmark):
-    comp = fib_computation(13)[0]  # 1505 nodes
-    trace = make_trace(comp, 8, seed=1)
-    violation = benchmark(StreamingLCVerifier.check_trace, trace)
-    assert violation is None
-    print()
-    print(f"fib(13): {comp.num_nodes} events streamed, no violation")
-
-
-def test_batch_on_long_trace(benchmark):
-    comp = fib_computation(13)[0]
-    trace = make_trace(comp, 8, seed=1)
-    po = trace.partial_observer()
-    ok = benchmark(trace_admits_lc, po)
-    assert ok
-
-
-def test_fault_localization(benchmark):
-    comp = racy_counter_computation(6, 4)[0]
-
-    def localize():
-        hits = []
-        for seed in range(25):
-            trace = make_trace(comp, 4, seed=seed, drop=0.9)
-            v = StreamingLCVerifier.check_trace(trace)
-            batch_ok = trace_admits_lc(trace.partial_observer())
-            assert (v is None) == batch_ok
-            if v is not None:
-                hits.append(v.node)
-        return hits
-
-    hits = benchmark.pedantic(localize, rounds=1)
-    print()
-    print(
-        f"{len(hits)}/25 faulty executions flagged; first-violation nodes: "
-        f"{sorted(set(hits))}"
-    )
-    assert hits
+def _prefix_replays_clean(trace, before) -> bool:
+    """The trace's events before node ``before`` trip no violation."""
+    comp = trace.comp
+    observed = {e.node: e.observed for e in trace.reads}
+    order = trace.schedule.execution_order()
+    verifier = StreamingLCVerifier()
+    for u in order[: order.index(before)]:
+        if verifier.on_node(
+            u, comp.op(u), comp.dag.predecessors(u), observed.get(u)
+        ):
+            return False
+    return True
 
 
 def run(check: bool = True, quick: bool = False) -> dict:
@@ -94,6 +68,8 @@ def run(check: bool = True, quick: bool = False) -> dict:
             assert (v is None) == trace_admits_lc(faulty.partial_observer())
         if v is not None:
             hits += 1
+            if check:
+                assert _prefix_replays_clean(faulty, v.node)
     localize_seconds = time.perf_counter() - t0
     if check:
         assert hits > 0, "drop=0.9 campaign produced no violations"

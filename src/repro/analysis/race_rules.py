@@ -12,8 +12,9 @@ Registers the rule set of :mod:`repro.analysis.registry`:
   the exact sweep — silent when the detectors agree, which the suite
   property-tests they always do.
 * ``LC001`` — trace consistency: replays a recorded execution through
-  the :class:`~repro.verify.sanitizer.TraceSanitizer` in ``keep_going``
-  mode; every violating event is an error with its minimal witness.
+  the :class:`~repro.verify.streaming.StreamingLCVerifier` in
+  ``keep_going`` mode; every violating event is an error with its
+  minimal witness.
 * ``DL001`` — lock-order cycles (:mod:`repro.analysis.deadlock`);
   concurrent cycles are potential deadlocks (error), dag-serialized
   inversions notes.
@@ -332,11 +333,11 @@ def _rule_trace_consistency(ctx: AnalysisContext) -> list[Finding]:
     # Lazy import: repro.verify's package __init__ pulls in the lint
     # shim, which imports repro.analysis — importing it at module load
     # time would close that cycle.
-    from repro.verify.sanitizer import TraceSanitizer
+    from repro.verify.streaming import StreamingLCVerifier
 
     assert ctx.trace is not None  # trace_only guarantees this
     findings: list[Finding] = []
-    for v in TraceSanitizer.collect_violations(ctx.trace):
+    for v in StreamingLCVerifier.collect_violations(ctx.trace):
         findings.append(
             Finding(
                 rule="LC001",

@@ -492,7 +492,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         work_stealing_schedule,
     )
     from repro.runtime.memory_base import MemorySystem
-    from repro.verify import TraceSanitizer, trace_admits_lc, trace_admits_sc
+    from repro.verify import StreamingLCVerifier, trace_admits_lc, trace_admits_sc
 
     comp, info = _resolve_program(args.program, args.size)
 
@@ -517,7 +517,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             drop_flush_probability=args.drop_flush,
             rng=args.seed,
         )
-    sanitizer = TraceSanitizer(comp) if args.sanitize else None
+    sanitizer = StreamingLCVerifier() if args.sanitize else None
     trace = execute(schedule, memory, sanitizer=sanitizer)
     if trace.violation is not None:
         v = trace.violation

@@ -13,10 +13,10 @@ protocol consumes:
 
 The trace records, for every read, the writer node id the memory
 returned — see :mod:`repro.runtime.trace`.  Passing a *sanitizer*
-(:class:`repro.verify.sanitizer.TraceSanitizer`) checks each event
-against the model's invariants as it happens; the first violation is
-recorded on the trace and, when the sanitizer halts, stops the run at
-the violating event.
+(a :class:`repro.verify.streaming.StreamingLCVerifier`) checks each
+event for location consistency as it happens; the first violation is
+recorded on the trace and, unless the verifier was built with
+``keep_going``, stops the run at the violating event.
 
 Observability: the whole run is an ``execute`` span (a memory span when
 ``--mem`` is on, attributing tracemalloc peak/net to the run); with the
@@ -24,8 +24,10 @@ tracer enabled each node additionally gets a ``step`` child span (up to
 :data:`STEP_SPAN_LIMIT` nodes, to bound trace size), every global
 time-step's wall time feeds the ``executor.step_seconds`` histogram,
 and the executor maintains ``executor.*`` counters (nodes, reads,
-writes) plus the memory's coherence-message counters (``backer.*``,
-emitted by :class:`repro.runtime.backer.BackerMemory` itself).
+writes), ``sanitizer.events`` / ``sanitizer.violations`` when a
+sanitizer rides along, plus the memory's coherence-message counters
+(``backer.*``, emitted by :class:`repro.runtime.backer.BackerMemory`
+itself).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.runtime.scheduler import Schedule
 from repro.runtime.trace import ExecutionTrace, ReadEvent
 
 if TYPE_CHECKING:  # verify imports runtime; keep the cycle static-only
-    from repro.verify.sanitizer import TraceSanitizer
+    from repro.verify.streaming import StreamingLCVerifier
 
 __all__ = ["execute", "STEP_SPAN_LIMIT"]
 
@@ -53,7 +55,7 @@ stay proportionate."""
 def execute(
     schedule: Schedule,
     memory: MemorySystem,
-    sanitizer: "TraceSanitizer | None" = None,
+    sanitizer: "StreamingLCVerifier | None" = None,
 ) -> ExecutionTrace:
     """Run a schedule against a memory system and collect the trace."""
     comp: Computation = schedule.comp
@@ -80,7 +82,7 @@ def execute(
 def _execute_body(
     schedule: Schedule,
     memory: MemorySystem,
-    sanitizer: "TraceSanitizer | None",
+    sanitizer: "StreamingLCVerifier | None",
     comp: Computation,
 ) -> ExecutionTrace:
     memory.attach(schedule.num_procs)
@@ -107,6 +109,10 @@ def _execute_body(
     batch_t0 = 0.0
 
     reads = writes = executed = 0
+    # Sanitizer counters are published once per run, as deltas.
+    checked = flagged = 0
+    if sanitizer is not None:
+        checked, flagged = sanitizer.events, len(sanitizer.violations)
     for u in schedule.execution_order():
         if tracing and start_of[u] != batch_step:
             now = time.perf_counter()
@@ -141,7 +147,7 @@ def _execute_body(
             )
             if violation is not None:
                 trace.violation = violation
-                if sanitizer.halt:
+                if not sanitizer.keep_going:
                     break
     if tracing:
         if batch_step >= 0:
@@ -150,4 +156,7 @@ def _execute_body(
         obs.add("executor.nodes", executed)
         obs.add("executor.reads", reads)
         obs.add("executor.writes", writes)
+        if sanitizer is not None:
+            obs.add("sanitizer.events", sanitizer.events - checked)
+            obs.add("sanitizer.violations", len(sanitizer.violations) - flagged)
     return trace

@@ -20,7 +20,7 @@ from repro.errors import InvalidObserverError
 from repro.runtime.scheduler import Schedule
 
 if TYPE_CHECKING:  # verify imports runtime; keep the cycle static-only
-    from repro.verify.sanitizer import SanitizerViolation
+    from repro.verify.streaming import StreamingViolation
 
 __all__ = ["ReadEvent", "ExecutionTrace", "PartialObserver"]
 
@@ -38,16 +38,17 @@ class ReadEvent:
 class ExecutionTrace:
     """The observable outcome of executing a schedule against a memory.
 
-    ``violation`` is set by the executor when a sanitizer was attached
-    and flagged an event (see :mod:`repro.verify.sanitizer`); a halting
-    sanitizer also truncates ``reads`` at the violating event.
+    ``violation`` is set by the executor when a sanitizer (a
+    :class:`~repro.verify.streaming.StreamingLCVerifier`) was attached
+    and flagged an event; a halting sanitizer also truncates ``reads``
+    at the violating event.
     """
 
     comp: Computation
     schedule: Schedule
     memory_name: str
     reads: list[ReadEvent] = field(default_factory=list)
-    violation: "SanitizerViolation | None" = None
+    violation: "StreamingViolation | None" = None
 
     def partial_observer(self) -> "PartialObserver":
         """The partial observer function this trace determines."""

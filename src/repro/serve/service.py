@@ -16,10 +16,10 @@ isomorphic resubmissions — the common shape of generated litmus
 batches — hit the verdict cache even when node ids differ.  The cache
 entry remembers the first request's canonical permutation, and a hit
 from a *relabelled* twin has its witness node ids translated into the
-new request's id space (the same translation discipline as
-:meth:`repro.verify.streaming.StreamingViolation.translated`).  Larger
-dags fall back to the exact fingerprint: only identical resubmissions
-dedupe, which is still the dominant case and never unsound.
+new request's id space and its reason re-rendered from the translated
+blocks.  Larger dags fall back to the exact fingerprint: only identical
+resubmissions dedupe, which is still the dominant case and never
+unsound.
 
 Checking runs in a persistent process pool initialized with the sweep
 engine's heartbeat channel (:func:`repro.runtime.parallel._init_pool_worker`),
@@ -107,8 +107,9 @@ class CheckOptions:
     (verdict ``null``) on documents above ``sc_node_limit`` nodes — the
     SC decision is exponential and a service must not let one oversized
     request starve the pool.  ``sanitize`` replays traces through
-    :class:`repro.verify.sanitizer.TraceSanitizer`; ``rules`` names
-    :mod:`repro.analysis` rule ids/prefixes to run per item.
+    :meth:`repro.verify.streaming.StreamingLCVerifier.collect_violations`;
+    ``rules`` names :mod:`repro.analysis` rule ids/prefixes to run per
+    item.
     """
 
     checks: tuple[str, ...] = ("lc", "sc", "streaming")
@@ -522,8 +523,6 @@ def _check_trace(trace: Any, options: CheckOptions) -> dict:
     out["verdicts"] = verdicts
     out["admitted"] = _admitted(verdicts)
     if options.sanitize:
-        from repro.verify.sanitizer import TraceSanitizer
-
         out["sanitizer"] = [
             {
                 "node": v.node,
@@ -533,7 +532,7 @@ def _check_trace(trace: Any, options: CheckOptions) -> dict:
                 "witness": list(v.witness),
                 "event_index": v.event_index,
             }
-            for v in TraceSanitizer.collect_violations(trace)
+            for v in StreamingLCVerifier.collect_violations(trace)
         ]
     if options.rules:
         out["findings"] = _run_rules(comp, trace, options)
@@ -1045,18 +1044,22 @@ class TraceCheckService:
             graft_worker_span(verdict)
             return verdict
 
-        def settle(item: _PendingItem, verdict: dict) -> None:
-            """Store, answer the item, and fan out to its twins."""
+        def settle(
+            item: _PendingItem, verdict: dict, cache: bool = True
+        ) -> None:
+            """Store (unless ``cache`` is off), answer the item, and fan
+            out to its twins."""
             graft_worker_span(verdict)
-            self.cache.put(item.key, verdict, item.perm)  # type: ignore[arg-type]
+            if cache:
+                self.cache.put(item.key, verdict, item.perm)  # type: ignore[arg-type]
             finish(ItemResult(item.index, dict(verdict), cached=False))
             # Consume the twin list: a later broken-pool retry must not
             # re-settle an already-answered fingerprint.
             for twin in waiting.pop(item.key, ()):  # type: ignore[arg-type]
                 remap = _compose_remap(item.perm, twin.perm)
-                if remap is None:
+                if remap is None or not cache:
                     finish(
-                        ItemResult(twin.index, dict(verdict), cached=True)
+                        ItemResult(twin.index, dict(verdict), cached=cache)
                     )
                 elif twin.translatable:
                     finish(
@@ -1112,9 +1115,24 @@ class TraceCheckService:
                 for future in done:
                     item = futures[future]
                     try:
-                        settle(item, future.result())
+                        verdict = future.result()
                     except BrokenProcessPool:
                         failed.append(item)
+                    except Exception as exc:
+                        # The check itself crashed: this item (and its
+                        # twins) get an error verdict, never cached, and
+                        # the rest of the batch carries on.
+                        settle(
+                            item,
+                            {
+                                "ok": False,
+                                "error": f"{type(exc).__name__}: {exc}",
+                                "seconds": 0.0,
+                            },
+                            cache=False,
+                        )
+                    else:
+                        settle(item, verdict)
         except BrokenProcessPool:
             failed = [it for it in unique if it.key in waiting]
         if failed:

@@ -12,8 +12,9 @@ Static analysis lives here too: the exact race sweep
 (:mod:`repro.verify.races`), the near-linear SP-bags detector with
 lockset classification (:mod:`repro.verify.spbags`), the lint engine
 behind ``repro lint`` (re-exported from
-:mod:`repro.analysis.race_rules`), and the in-execution
-trace sanitizer (:mod:`repro.verify.sanitizer`).
+:mod:`repro.analysis.race_rules`).  The incremental LC engine
+(:class:`StreamingLCVerifier`) both checks completed traces and rides
+inside the executor as a trace sanitizer.
 """
 
 from repro.verify.checker import (
@@ -41,7 +42,6 @@ from repro.verify.races import (
     is_race_free,
     racy_locations,
 )
-from repro.verify.sanitizer import SanitizerViolation, TraceSanitizer
 from repro.verify.spbags import (
     ClassifiedRace,
     classify_races,
@@ -87,8 +87,6 @@ __all__ = [
     "LintReport",
     "lint_computation",
     "ENGINES",
-    "TraceSanitizer",
-    "SanitizerViolation",
     "infer_models",
     "InferenceResult",
     "conformance_campaign",

@@ -36,7 +36,7 @@ from repro.core.computation import Computation
 from repro.core.last_writer import last_writer_row
 from repro.core.observer import ObserverFunction, candidate_values
 from repro.core.ops import Location
-from repro.dag.digraph import bit_indices, bits
+from repro.dag.digraph import bit_indices
 from repro.models.base import MemoryModel
 from repro.runtime.trace import PartialObserver
 
@@ -201,13 +201,12 @@ def lc_completion(partial: PartialObserver) -> ObserverFunction | None:
     completes the input constraints.
     """
     comp = partial.comp
-    locs = sorted(set(partial.locations) | set(comp.locations), key=repr)
+    orders = lc_trace_orders(partial)
+    if orders is None:
+        return None
     mapping: dict[Location, tuple[int | None, ...]] = {}
-    for loc in locs:
+    for loc, order in orders.items():
         constraints = _constraints_with_writes(partial, loc)
-        order = _witness_order_for_location(comp, constraints)
-        if order is None:
-            return None
         row = last_writer_row(comp, order, loc)
         for u, v in constraints.items():
             assert row[u] == v, "witness order must reproduce the constraints"
@@ -356,9 +355,6 @@ def find_completion(
         if model.contains(comp, phi):
             return phi
     return None
-
-
-_ = bits  # re-exported convenience kept for API stability
 
 
 def lc_trace_orders(partial: PartialObserver) -> dict | None:

@@ -4,25 +4,34 @@ The batch checker (:func:`repro.verify.trace_admits_lc`) answers
 yes/no after the fact; this verifier consumes the execution as a stream
 of events and reports the *first event* at which location consistency
 became unsatisfiable — the question a runtime developer actually asks
-("which read went wrong?").
+("which read went wrong?").  The same engine rides inside a run, the
+way ThreadSanitizer sits inside a program:
+``execute(schedule, memory, sanitizer=StreamingLCVerifier())`` feeds it
+every node as it executes and stops the run at the first violating
+event.
 
 It maintains, per location, the block structure of THEORY.md §1/§2
-incrementally:
+incrementally, on the computation's own node ids:
 
 * every constrained event (a write, or a read with its observed writer)
   joins a *block* — the fiber of its observed write (or the ⊥ block);
-* each node carries the set of blocks among its *constrained ancestors*
+* each node carries the set of blocks among itself and its ancestors
   per location (propagated along edges as nodes arrive — block-level
-  reachability, bounded by the number of writes, not nodes);
-* a new member of block ``b`` with a constrained ancestor in block
-  ``a ≠ b`` adds the quotient edge ``a → b``; a cycle created by the
-  insertion, or any edge into a ⊥ block, is precisely an LC violation
-  (the streamed form of the batch condition), reported immediately with
-  the offending node and location.
+  reachability, bounded by the number of writes, not nodes; a node
+  that adds no block shares its predecessor's sets);
+* a new member of block ``b`` with an ancestor in block ``a ≠ b`` adds
+  the quotient edge ``a → b``; a cycle created by the insertion, or any
+  edge into a ⊥ block, is precisely an LC violation (the streamed form
+  of the batch condition), reported with the offending node, location
+  and a *witness*.
 
-Cycle detection is the standard incremental scheme: on inserting
-``a → b``, search from ``b`` for ``a`` in the quotient (whose size is
-bounded by the writes to that location, not the trace length).
+Each quotient edge remembers the event that added it, so the witness is
+the shortest chain of nodes whose observations contradict each other:
+the edges of the cycle (or the write a ⊥ read follows), ending with the
+violating node.  Cycle detection is one breadth-first search from ``b``
+in the quotient (whose size is bounded by the writes to that location,
+not the trace length), run only when the event adds a new edge out of
+an existing block's reach.
 
 Agreement with the batch checker on complete traces is property-tested;
 the bench measures the streaming cost per event on long executions.
@@ -32,6 +41,8 @@ Observability: :meth:`StreamingLCVerifier.check_trace` runs under a
 ``.rejected`` verdict counters, and samples its wall time into the
 ``verify.streaming.seconds`` histogram — mirroring the batch checker's
 ``verify.lc`` telemetry so the two are directly comparable in traces.
+Live runs count ``sanitizer.events`` / ``sanitizer.violations`` in the
+executor, never per event here.
 """
 
 from __future__ import annotations
@@ -47,6 +58,8 @@ from repro.runtime.trace import ExecutionTrace
 __all__ = ["StreamingViolation", "StreamingLCVerifier"]
 
 _BOT = ("⊥",)  # per-location bottom-block sentinel (distinct from node ids)
+
+_NO_BLOCKS: dict = {}  # shared reach of nodes without block ancestors
 
 
 def _blk(b: int | None) -> str:
@@ -67,143 +80,206 @@ def _render_reason(blocks: tuple[int | None, ...]) -> str:
 
 @dataclass(frozen=True)
 class StreamingViolation:
-    """The first event at which LC became unsatisfiable.
+    """An event at which LC became unsatisfiable.
 
-    ``blocks`` carries the violating quotient edge structurally: the
-    block ids are *writer node ids* (``None`` is the ⊥ block), in the
-    same id space as :attr:`node`.  Inside the event interface those are
-    feed-order ids; :meth:`StreamingLCVerifier.check_trace` translates
-    both ``node`` and ``blocks`` back to the trace's node ids and
-    re-renders ``reason`` from the translated blocks, so witnesses
-    handed to service clients name real trace nodes — never internal
-    feed-order ids.
+    ``blocks`` is the violating quotient edge ``(a, b)``: writer node
+    ids, ``None`` for the ⊥ block.  ``witness`` is a minimal chain of
+    node ids demonstrating the contradiction — the nodes whose events
+    added the quotient edges from ``b`` back to ``a`` (for a ⊥ read, the
+    write it follows), ending with :attr:`node` itself.
+    ``event_index`` is the position of :attr:`node` in feed order.
     """
 
     node: int
     loc: Location
-    reason: str
-    blocks: tuple[int | None, ...] = ()
+    blocks: tuple[int | None, int | None]
+    witness: tuple[int, ...]
+    event_index: int
 
-    def translated(self, node: int, mapping) -> "StreamingViolation":
-        """This violation with ids mapped through ``mapping`` (a sequence
-        or callable over block/node ids); ⊥ blocks stay ⊥."""
-        remap = mapping if callable(mapping) else mapping.__getitem__
-        blocks = tuple(None if b is None else remap(b) for b in self.blocks)
-        reason = _render_reason(blocks) if blocks else self.reason
-        return StreamingViolation(node, self.loc, reason, blocks)
+    @property
+    def reason(self) -> str:
+        """The violation in words, naming the two blocks."""
+        return _render_reason(self.blocks)
+
+    @property
+    def observed(self) -> int | None:
+        """The writer the violating read observed (``None`` for ⊥)."""
+        return self.blocks[1]
 
 
 class StreamingLCVerifier:
-    """Consume execution events; report the first LC violation.
+    """Consume execution events; report LC violations as they happen.
 
-    Events arrive via :meth:`add_node` in any topological order of the
-    computation (execution order always qualifies).  Once a violation is
-    reported the verifier latches it (subsequent adds keep returning it).
+    Events arrive via :meth:`on_node` in any topological order of the
+    computation (execution order always qualifies).  By default the
+    verifier halts at the first violation: it latches it, later events
+    are ignored, and the executor stops the run there.
+
+    ``keep_going`` checks *every* event instead: each violating event
+    contributes one :class:`StreamingViolation` (with its own minimal
+    witness) to :attr:`violations`, and its contradictory quotient edges
+    are *not* inserted — the established serialization stays intact, so
+    one stale read does not cascade into findings on unrelated events.
+    :attr:`violation` latches the first violation either way.
     """
 
-    def __init__(self) -> None:
-        #: per location: quotient adjacency over block ids.
-        self._adj: dict[Location, dict[object, set[object]]] = {}
-        #: per node: per location, frozenset of ancestor block ids.
-        self._anc_blocks: list[dict[Location, frozenset]] = []
-        #: per node: per location, its own block id (constrained only).
-        self._own_block: list[dict[Location, object]] = []
+    def __init__(self, keep_going: bool = False) -> None:
+        self.keep_going = keep_going
         self.violation: StreamingViolation | None = None
+        self.violations: list[StreamingViolation] = []
         self.events = 0
+        #: per location: quotient edges ``a -> {b: node that added it}``.
+        self._out: dict[Location, dict[object, dict[object, int]]] = {}
+        #: per location: quotient in-neighbours ``b -> {a, ...}``.
+        self._in: dict[Location, dict[object, set[object]]] = {}
+        #: per fed node: per location, the blocks of it and its ancestors.
+        self._reach: dict[int, dict[Location, frozenset]] = {}
+        #: per fed write: its event index (ranks competing witnesses).
+        self._fed: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Quotient maintenance
     # ------------------------------------------------------------------
 
-    def _reaches(self, loc: Location, src: object, dst: object) -> bool:
-        adj = self._adj.get(loc, {})
-        stack = [src]
-        seen = {src}
-        while stack:
-            b = stack.pop()
-            if b == dst:
-                return True
-            for c in adj.get(b, ()):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return False
-
-    def _add_edge(
-        self, node: int, loc: Location, a: object, b: object
+    def _join(
+        self, node: int, idx: int, loc: Location, anc: frozenset, b: object
     ) -> StreamingViolation | None:
-        if a == b:
+        """Add the quotient edges ``a → b`` for every ancestor block."""
+        fed = self._fed
+        if b is _BOT:
+            # Every write block among the ancestors contradicts a ⊥ read;
+            # name the earliest-fed one.
+            writes = [a for a in anc if a is not _BOT]
+            if not writes:
+                return None
+            a = min(writes, key=lambda w: fed.get(w, idx))
+            return self._record(node, idx, loc, (a, None), (a, node))
+        into = self._in.setdefault(loc, {})
+        known = into.get(b)
+        # ⊥ has no in-edges, so an edge out of it never closes a cycle.
+        new = anc.difference(known or (), (b, _BOT))
+        if not new:
             return None
-        if b == _BOT:
-            # ``a`` is a write block: an edge ⊥ → ⊥ is a == b above, and
-            # the source of a quotient edge is a constrained ancestor.
-            blocks = (None if a == _BOT else a, None)
-            return StreamingViolation(
-                node, loc, _render_reason(blocks), blocks
-            )
-        adj = self._adj.setdefault(loc, {})
-        if b in adj and self._reaches(loc, b, a):
-            # Neither end is ⊥ here: edges into ⊥ are rejected above, so
-            # ⊥ has no in-edges and can never close a cycle.
-            blocks = (a, b)
-            return StreamingViolation(
-                node, loc, _render_reason(blocks), blocks
-            )
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set())
-        return None
+        out = self._out.setdefault(loc, {})
+        parent: dict[object, tuple[object, int] | None] = {}
+        if b in out:
+            # Breadth-first from ``b``: a new edge ``a → b`` closes a
+            # cycle iff ``b`` reaches ``a``; the tree gives the witness.
+            parent[b] = None
+            frontier = [b]
+            while frontier:
+                step = []
+                for x in frontier:
+                    for c, origin in out.get(x, {}).items():
+                        if c not in parent:
+                            parent[c] = (x, origin)
+                            step.append(c)
+                frontier = step
+        if known is None:
+            known = into[b] = set()
+        for a in new:
+            if a not in parent:
+                out.setdefault(a, {})[b] = node
+                known.add(a)
+        bad = [a for a in new if a in parent]
+        if not bad:
+            return None
+        a = min(bad, key=lambda w: fed.get(w, idx))
+        chain: list[int] = []
+        link = parent[a]
+        while link is not None:
+            prev, origin = link
+            chain.append(origin)
+            link = parent[prev]
+        chain.reverse()
+        return self._record(node, idx, loc, (a, b), (*chain, node))
+
+    def _record(
+        self,
+        node: int,
+        idx: int,
+        loc: Location,
+        blocks: tuple,
+        witness: tuple[int, ...],
+    ) -> StreamingViolation:
+        v = StreamingViolation(node, loc, blocks, witness, idx)
+        self.violations.append(v)
+        if self.violation is None:
+            self.violation = v
+        return v
 
     # ------------------------------------------------------------------
     # Event interface
     # ------------------------------------------------------------------
 
-    def add_node(
+    def on_node(
         self,
+        node: int,
         op: Op,
         preds: Iterable[int],
         observed: int | None = None,
     ) -> StreamingViolation | None:
-        """Consume the next node; return the (first) violation, if any.
+        """Consume one node; return the first violation, if any.
 
-        ``observed`` is the writer id a read received (``None`` for ⊥);
-        it is ignored for writes (condition 2.3 fixes their block) and
-        for no-ops (unconstrained).
+        ``node`` and ``preds`` are computation node ids (every
+        predecessor must have been fed already); ``observed`` is the
+        writer id a read received (``None`` for ⊥).  It is ignored for
+        writes (condition 2.3 fixes their block) and for no-ops
+        (unconstrained).
         """
-        if self.violation is not None:
+        if self.violation is not None and not self.keep_going:
             return self.violation
-        node = len(self._anc_blocks)
-        self.events += 1
-        preds = list(preds)
-        # Ancestor blocks: union over predecessors, plus their own blocks.
-        anc: dict[Location, set] = {}
+        idx = self.events
+        self.events = idx + 1
+        reach = self._reach
+        # Blocks of the ancestors: union over predecessors' reach,
+        # copy-on-write so a node adding nothing shares its input.
+        anc = _NO_BLOCKS
+        owned = False
         for p in preds:
-            for loc, blocks in self._anc_blocks[p].items():
-                anc.setdefault(loc, set()).update(blocks)
-            for loc, b in self._own_block[p].items():
-                anc.setdefault(loc, set()).add(b)
+            r = reach[p]
+            if r is anc or not r:
+                continue
+            if not anc:
+                anc = r
+                continue
+            for loc, fs in r.items():
+                cur = anc.get(loc)
+                if cur is fs:
+                    continue
+                if cur is None or cur <= fs:
+                    merged = fs
+                elif fs <= cur:
+                    continue
+                else:
+                    merged = cur | fs
+                if not owned:
+                    anc = dict(anc)
+                    owned = True
+                anc[loc] = merged
 
-        own: dict[Location, object] = {}
-        if op.is_write:
-            own[op.loc] = node
-        elif op.is_read:
-            own[op.loc] = _BOT if observed is None else observed
-
-        # New quotient edges: ancestor block -> own block, per location.
-        for loc, b in own.items():
-            for a in anc.get(loc, ()):
-                v = self._add_edge(node, loc, a, b)
-                if v is not None:
-                    self.violation = v
-                    break
-            if self.violation is not None:
-                break
-            # Register the block even if isolated (for future edges).
-            self._adj.setdefault(loc, {}).setdefault(b, set())
-
-        self._anc_blocks.append(
-            {loc: frozenset(s) for loc, s in anc.items()}
-        )
-        self._own_block.append(own)
+        kind = op.kind
+        if kind == "N":
+            reach[node] = anc
+            return self.violation
+        loc = op.loc
+        if kind == "W":
+            b: object = node
+            self._fed[node] = idx
+        else:
+            b = _BOT if observed is None else observed
+        blocks = anc.get(loc)
+        if blocks is None:
+            mine = frozenset((b,))
+        else:
+            if len(blocks) > 1 or b not in blocks:
+                self._join(node, idx, loc, blocks, b)
+            mine = blocks if b in blocks else blocks | {b}
+        if mine is not blocks:
+            if not owned:
+                anc = dict(anc)
+            anc[loc] = mine
+        reach[node] = anc
         return self.violation
 
     @property
@@ -212,44 +288,34 @@ class StreamingLCVerifier:
         return self.violation is None
 
     # ------------------------------------------------------------------
-    # Convenience
+    # Completed traces
     # ------------------------------------------------------------------
+
+    @classmethod
+    def _replay(
+        cls, trace: ExecutionTrace, keep_going: bool
+    ) -> "StreamingLCVerifier":
+        comp = trace.comp
+        observed = {e.node: e.observed for e in trace.reads}
+        ops = comp.ops
+        predecessors = comp.dag.predecessors
+        verifier = cls(keep_going)
+        for u in trace.schedule.execution_order():
+            v = verifier.on_node(u, ops[u], predecessors(u), observed.get(u))
+            if v is not None and not keep_going:
+                break
+        return verifier
 
     @classmethod
     def check_trace(
         cls, trace: ExecutionTrace
     ) -> StreamingViolation | None:
-        """Stream a completed trace through a fresh verifier.
-
-        Nodes are fed in execution order; the node-id mapping is
-        preserved (the verifier's internal ids follow feed order, and
-        execution order visits nodes in a topological order, so the
-        reported node is translated back to the trace's node id).
-        """
-        comp = trace.comp
-        observed = {e.node: e.observed for e in trace.reads}
-        order = trace.schedule.execution_order()
-        new_id = {u: i for i, u in enumerate(order)}
-        verifier = cls()
-        result: StreamingViolation | None = None
-        with obs.span("verify.streaming", nodes=comp.num_nodes) as sp:
+        """Stream a completed trace in execution order; the first
+        violation, or ``None`` when the trace is LC."""
+        with obs.span("verify.streaming", nodes=trace.comp.num_nodes) as sp:
             t0 = time.perf_counter()
-            for u in order:
-                op = comp.op(u)
-                preds = [new_id[p] for p in comp.dag.predecessors(u)]
-                seen = observed.get(u)
-                # Observed writers always executed before the read (a
-                # memory can only return a value that exists), so their
-                # feed ids are already assigned.
-                seen_feed = None if seen is None else new_id[seen]
-                v = verifier.add_node(op, preds, seen_feed)
-                if v is not None:
-                    # Translate the whole witness — the node *and* the
-                    # violating blocks (feed-order ids) — back to trace
-                    # node ids; ``translated`` re-renders the reason so
-                    # no internal id survives into the message.
-                    result = v.translated(u, order)
-                    break
+            verifier = cls._replay(trace, keep_going=False)
+            result = verifier.violation
             if sp is not None:
                 sp.attrs["admitted"] = result is None
                 sp.attrs["events"] = verifier.events
@@ -261,3 +327,16 @@ class StreamingLCVerifier:
             )
             obs.observe("verify.streaming.seconds", time.perf_counter() - t0)
         return result
+
+    @classmethod
+    def collect_violations(
+        cls, trace: ExecutionTrace
+    ) -> list[StreamingViolation]:
+        """Replay a completed trace, collecting *every* violation.
+
+        A ``keep_going`` verifier over the recorded events: one
+        violation (with its minimal witness) per violating event, in
+        event order — the bulk-reporting mode ``repro lint`` uses on
+        trace targets.
+        """
+        return cls._replay(trace, keep_going=True).violations

@@ -271,9 +271,9 @@ class TestTraceRules:
             report = run_analysis(ctx)
             assert "LC001" in report.rules_run
             lc = [f for f in report.findings if f.rule == "LC001"]
-            from repro.verify import TraceSanitizer
+            from repro.verify import StreamingLCVerifier
 
-            expected = TraceSanitizer.collect_violations(trace)
+            expected = StreamingLCVerifier.collect_violations(trace)
             assert len(lc) == len(expected)
             flagged += len(lc)
             for f, v in zip(lc, expected):

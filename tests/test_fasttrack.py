@@ -40,7 +40,7 @@ from repro.runtime import (
     work_stealing_schedule,
 )
 from repro.verify import (
-    TraceSanitizer,
+    StreamingLCVerifier,
     find_races,
     spbags_races,
     trace_admits_lc,
@@ -207,8 +207,8 @@ class TestTraceOrder:
                         repr(r.loc)
                         for r in fasttrack_trace_races(trace)
                     } == racy_locs
-                    violations = TraceSanitizer.collect_violations(trace)
-                    first = TraceSanitizer.check_trace(trace)
+                    violations = StreamingLCVerifier.collect_violations(trace)
+                    first = StreamingLCVerifier.check_trace(trace)
                     batch_ok = trace_admits_lc(trace.partial_observer())
                     assert (not violations) == batch_ok
                     if violations:

@@ -507,6 +507,32 @@ class TestService:
             )
         assert [r.verdict["ok"] for r in results] == [False, False, True]
 
+    def test_crashing_check_fails_item_not_batch(self, monkeypatch):
+        """A check raising outside the caught input errors becomes that
+        item's error verdict: never cached, its twin still answered, the
+        rest of the batch checked."""
+        import repro.serve.service as service
+
+        real = service._check_object
+
+        def crash_on_three_nodes(obj, options):
+            if obj.comp.num_nodes == 3:
+                raise RuntimeError("checker bug")
+            return real(obj, options)
+
+        # Patched before the first batch forks the pool.
+        monkeypatch.setattr(service, "_check_object", crash_on_three_nodes)
+        with TraceCheckService(jobs=1) as svc:
+            first, good, twin = svc.check_batch(
+                lines_for(bad_trace(), good_trace(), bad_trace())
+            )
+            (again,) = svc.check_batch(lines_for(bad_trace()))
+        for item in (first, twin, again):
+            assert item.verdict["ok"] is False
+            assert item.verdict["error"] == "RuntimeError: checker bug"
+        assert good.verdict["ok"] and good.verdict["admitted"]
+        assert not again.cached
+
     def test_zero_capacity_cache_disables_cross_batch_dedupe(self):
         with TraceCheckService(jobs=1, cache_size=0) as svc:
             svc.check_batch(lines_for(good_trace()))
