@@ -5,9 +5,11 @@ Four checks, all exercised by the ``obs-smoke`` CI job:
 
 1. ``python scripts/obs_smoke.py validate TRACE.json`` — the file is a
    structurally valid trace document (``repro.obs.validate_trace``),
-   contains at least one sweep span with shard children, and the shard
+   contains at least one sweep span with shard children, the shard
    telemetry sums to the global sweep counters (the ``--trace`` /
-   ``SweepStats`` consistency contract).  Chrome trace-event documents
+   ``SweepStats`` consistency contract), and no shard checked more
+   pairs than it decided (``evaluated <= pairs``: each checked pair
+   stands for its whole isomorphism class).  Chrome trace-event documents
    (``--trace-format chrome``) are auto-detected by their
    ``traceEvents`` key and checked with
    ``repro.obs.validate_chrome_trace`` (every event carries
@@ -131,6 +133,16 @@ def check_trace(path: str, min_pids: int = 1) -> int:
         return 1
 
     counters = doc["counters"]
+    for sp in shards:
+        attrs = sp["attrs"]
+        if not 0 <= attrs.get("evaluated", -1) <= attrs["pairs"]:
+            print(
+                f"obs-smoke: shard n={attrs['n']} "
+                f"masks[{attrs['mask_lo']}:{attrs['mask_hi']}) evaluated "
+                f"{attrs.get('evaluated')} pairs but decided {attrs['pairs']}",
+                file=sys.stderr,
+            )
+            return 1
     shard_pairs = sum(sp["attrs"]["pairs"] for sp in shards)
     if shard_pairs != counters.get("sweep.pairs"):
         print(
@@ -152,9 +164,11 @@ def check_trace(path: str, min_pids: int = 1) -> int:
             file=sys.stderr,
         )
         return 1
+    evaluated = sum(sp["attrs"]["evaluated"] for sp in shards)
     print(
         f"obs-smoke: trace OK — {len(spans)} spans, {len(sweeps)} sweeps, "
-        f"{len(shards)} shards, {shard_pairs} pairs, "
+        f"{len(shards)} shards, {shard_pairs} pairs "
+        f"({evaluated} evaluated), "
         f"{consultations} cache consultations"
     )
     return 0

@@ -1,9 +1,9 @@
 """Canonical labelling of small dags by colour refinement.
 
 Memory models are defined on computations up to relabelling, so two
-places need a canonical name for an isomorphism class: :func:`unique_dags`
-(one representative per unlabelled dag) and the serve cache (one key
-per isomorphic request).  Both use :func:`canonical_labelling`.
+places need a canonical name for an isomorphism class: :func:`canonical_form`
+(one name per unlabelled dag) and the serve cache (one key per
+isomorphic request).  Both use :func:`canonical_labelling`.
 
 The routine first splits the nodes into *cells* by colour refinement.
 A node's initial colour is its own label plus the locations at which it

@@ -4,7 +4,11 @@ The paper's theorems quantify over *all* computations.  To check them
 mechanically we enumerate every computation up to a size bound — every
 dag shape (node ids in topological order, which covers every isomorphism
 class; see :mod:`repro.dag.enumerate`) crossed with every op labelling —
-and, per computation, every valid observer function.
+and, per computation, every valid observer function.  Every model is
+invariant under renaming nodes, so :meth:`Universe.representatives`
+also names one computation per isomorphism class with the number of
+labelled computations it stands for; the sweep engine checks only
+those (:mod:`repro.runtime.parallel`).
 
 A :class:`Universe` fixes the location set and the op alphabet and
 provides iteration, counting and per-model pair extraction.  Sizes grow
@@ -22,7 +26,7 @@ from typing import Iterable, Iterator
 from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction, count_observer_functions
 from repro.core.ops import N, Op, R, W, Location
-from repro.dag.enumerate import ordered_dags
+from repro.dag.enumerate import ordered_dags, ordered_orbits
 from repro.errors import UniverseError
 from repro.models.base import MemoryModel
 
@@ -98,6 +102,29 @@ class Universe:
         for dag in ordered_dags(n, lo, hi):
             for ops in product(self._alphabet, repeat=n):
                 yield Computation(dag, ops)
+
+    def representatives(
+        self, n: int, mask_range: tuple[int, int] | None = None
+    ) -> Iterator[tuple[Computation, int]]:
+        """``(computation, orbit size)`` for one computation per
+        isomorphism class of size ``n``.
+
+        The representative is the class's first member in
+        :meth:`computations_of_size` order, and the orbit size is the
+        number of members (see :func:`repro.dag.enumerate.ordered_orbits`).
+        Isomorphic computations have equally many observer functions, so
+        the orbit sizes times the observer counts sum to
+        :meth:`count_pairs`.  ``mask_range`` shards as in
+        :meth:`computations_of_size`, and concatenated shards reproduce
+        the unsharded order.
+        """
+        if n < 0 or n > self.max_nodes:
+            raise UniverseError(
+                f"size {n} outside universe bound {self.max_nodes}"
+            )
+        lo, hi = mask_range if mask_range is not None else (0, None)
+        for dag, ops, orbit in ordered_orbits(n, self._alphabet, lo, hi):
+            yield Computation(dag, ops), orbit
 
     def computations(self) -> Iterator[Computation]:
         """Every computation of size ``0 .. max_nodes``, smallest first."""

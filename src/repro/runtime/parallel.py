@@ -11,6 +11,10 @@ the shared substrate:
 * :class:`ShardSpec` — a picklable description of one slice of the
   enumeration space (a contiguous edge-mask range at one size), which any
   worker process can regenerate independently;
+* orbit sweeps — every model is invariant under renaming nodes, so a
+  shard checks one computation per isomorphism class (its first member
+  in canonical order, :meth:`repro.models.universe.Universe.representatives`)
+  and weighs each of its pairs by the class's size;
 * :func:`make_shards` / :func:`run_shards` — chunked dispatch over a
   ``ProcessPoolExecutor`` with a serial fallback (``jobs=1``, the
   ``REPRO_JOBS`` environment variable, or universes too small to amortize
@@ -46,7 +50,14 @@ Deterministic merging: shards partition the canonical enumeration order
 (size ascending, then edge mask ascending), workers return per-shard
 results, and merges fold them in shard order — so counts, inclusion
 matrices and *first-witness* searches are bit-identical to the serial
-sweep regardless of worker scheduling.
+sweep regardless of worker scheduling.  Skipping the non-first members
+of each isomorphism class keeps them identical to the labelled
+enumeration too: if the first labelled witness ``(C, Φ)`` had an
+isomorphic ``C′`` earlier in the order, the renamed pair ``(C′, σΦ)``
+would be a witness found before it.  Counts add the class size of each
+pair, so :attr:`SweepStats.pairs` still counts the universe pairs a
+sweep decided, while :attr:`SweepStats.evaluated` counts the pairs it
+actually checked.
 
 Set ``REPRO_JOBS`` (or pass ``--jobs`` on the CLI) to choose the worker
 count; ``0`` means one worker per CPU, ``1`` forces the serial path.
@@ -207,17 +218,20 @@ def _heartbeat_iter(shard: "ShardSpec", inner: Any) -> Any:
 
     A beat is sent at pair 0 (so even sub-interval shards announce
     themselves deterministically) and then at most once per heartbeat
-    interval, checked every :data:`HEARTBEAT_PAIRS` pairs."""
+    interval, checked every :data:`HEARTBEAT_PAIRS` evaluated pairs.
+    ``pairs_done`` counts universe pairs (orbit-weighted), like
+    :attr:`ShardMeta.pairs`."""
     interval = _HB["interval"] if _HB else 1.0
     t0 = time.perf_counter()
     cache_base = _cache_totals_now()
     _send_heartbeat(shard, 0, 0.0, cache_base)
     next_beat = t0 + interval
-    pairs = 0
+    evaluated = pairs = 0
     for item in inner:
         yield item
-        pairs += 1
-        if pairs % HEARTBEAT_PAIRS == 0:
+        evaluated += 1
+        pairs += item[2]
+        if evaluated % HEARTBEAT_PAIRS == 0:
             now = time.perf_counter()
             if now >= next_beat:
                 _send_heartbeat(shard, pairs, now - t0, cache_base)
@@ -285,14 +299,21 @@ class ShardSpec:
         )
 
     def iter_pairs(self):
-        """The (computation, observer) pairs of this shard, in canonical
-        order (edge mask ascending, then labelling, then observer).
+        """``(computation, observer, weight)`` for every pair of this
+        shard's orbit representatives, in canonical order (edge mask
+        ascending, then labelling, then observer).
+
+        Each computation is the first of its isomorphism class (see
+        :meth:`Universe.representatives`), and ``weight`` is the class
+        size: the number of universe pairs the pair stands for.
 
         When this process has a heartbeat channel (a monitored sweep —
         pool worker or parent-serial), the iterator is wrapped to emit
         interval-limited progress heartbeats; otherwise it is returned
         untouched, so unmonitored sweeps pay nothing."""
-        inner = self.universe().pairs(self.n, (self.mask_lo, self.mask_hi))
+        inner = _orbit_pairs(
+            self.universe(), self.n, (self.mask_lo, self.mask_hi)
+        )
         if _HB is None:
             return inner
         return _heartbeat_iter(self, inner)
@@ -303,9 +324,19 @@ class ShardSpec:
         return self.mask_hi - self.mask_lo
 
 
+def _orbit_pairs(universe: Universe, n: int, mask_range: tuple[int, int]):
+    for comp, weight in universe.representatives(n, mask_range):
+        for phi in universe.observers(comp):
+            yield comp, phi, weight
+
+
 @dataclass
 class ShardMeta:
     """Instrumentation for one shard's execution (in its worker process).
+
+    ``pairs`` counts the universe pairs the shard decided (each checked
+    pair weighted by its orbit size) and ``evaluated`` the pairs it
+    actually checked; an early exit stops both.
 
     ``caches`` holds the worker-local hits/misses *deltas* of every
     tracked sweep cache across the kernel body; ``cache_enabled`` is the
@@ -331,6 +362,7 @@ class ShardMeta:
     mask_hi: int
     seconds: float
     pairs: int
+    evaluated: int = 0
     caches: dict[str, dict[str, int]] = field(default_factory=dict)
     cache_enabled: bool = True
     pid: int = 0
@@ -365,6 +397,7 @@ class ShardMeta:
             "mask_hi": self.mask_hi,
             "seconds": round(self.seconds, 6),
             "pairs": self.pairs,
+            "evaluated": self.evaluated,
             "pid": self.pid,
         }
         if self.trace_id:
@@ -383,6 +416,7 @@ class ShardMeta:
             "mask_lo": self.mask_lo,
             "mask_hi": self.mask_hi,
             "pairs": self.pairs,
+            "evaluated": self.evaluated,
             "cache_enabled": self.cache_enabled,
             "pid": self.pid,
             "caches": self.caches,
@@ -414,6 +448,7 @@ class ShardMeta:
             mask_hi=a["mask_hi"],
             seconds=sp.duration,
             pairs=a["pairs"],
+            evaluated=a.get("evaluated", 0),
             caches=a.get("caches", {}),
             cache_enabled=a.get("cache_enabled", True),
             pid=a.get("pid", 0),
@@ -505,8 +540,15 @@ class SweepStats:
 
     @property
     def pairs(self) -> int:
-        """Total pairs visited across shards (early exits visit fewer)."""
+        """Universe pairs decided across shards: each checked pair counts
+        its orbit size, so a full scan gives ``Σ count_pairs(n)``.  Early
+        exits decide fewer."""
         return sum(m.pairs for m in self.shards)
+
+    @property
+    def evaluated(self) -> int:
+        """Pairs actually checked across shards (one per orbit)."""
+        return sum(m.evaluated for m in self.shards)
 
     def cache_totals(self) -> dict[str, dict[str, int]]:
         """Per-cache hits/misses summed over shards."""
@@ -543,6 +585,7 @@ class SweepStats:
             "mode": self.mode,
             "wall_seconds": self.wall_seconds,
             "pairs": self.pairs,
+            "evaluated": self.evaluated,
             "retried_shards": self.retried_shards,
             "cache_consultations": self.cache_consultations(),
             "shards": [
@@ -552,6 +595,7 @@ class SweepStats:
                     "mask_hi": m.mask_hi,
                     "seconds": m.seconds,
                     "pairs": m.pairs,
+                    "evaluated": m.evaluated,
                     "pid": m.pid,
                     "cache_enabled": m.cache_enabled,
                 }
@@ -564,7 +608,8 @@ class SweepStats:
         """Human-readable table for ``--stats``."""
         lines = [
             f"sweep {self.label!r}: {self.mode}, jobs={self.jobs}, "
-            f"{self.pairs} pairs in {self.wall_seconds:.3f}s"
+            f"{self.pairs} pairs ({self.evaluated} evaluated) "
+            f"in {self.wall_seconds:.3f}s"
         ]
         if self.retried_shards:
             lines.append(
@@ -574,7 +619,8 @@ class SweepStats:
         for m in self.shards:
             lines.append(
                 f"  shard n={m.n} masks[{m.mask_lo}:{m.mask_hi}) "
-                f"{m.pairs:>6} pairs  {m.seconds:.3f}s"
+                f"{m.pairs:>6} pairs ({m.evaluated:>5} evaluated)  "
+                f"{m.seconds:.3f}s"
             )
         for name, c in sorted(self.cache_totals().items()):
             total = c["hits"] + c["misses"]
@@ -1143,6 +1189,7 @@ def _record_sweep(stats: SweepStats) -> None:
         obs.observe("sweep.shard_seconds", meta.seconds)
     obs.add("sweep.count")
     obs.add("sweep.pairs", stats.pairs)
+    obs.add("sweep.evaluated", stats.evaluated)
     obs.add("sweep.shards", len(stats.shards))
     obs.add("sweep.shards.retried", stats.retried_shards)
     obs.add("sweep.cache.hits", sum(c["hits"] for c in totals.values()))
@@ -1151,9 +1198,13 @@ def _record_sweep(stats: SweepStats) -> None:
 
 
 def _instrumented(
-    body: Callable[[ShardSpec], tuple[Any, int]], shard: ShardSpec
+    body: Callable[[ShardSpec], tuple[Any, int, int]], shard: ShardSpec
 ) -> ShardOutcome:
     """Run a kernel body and wrap its result with timing + cache deltas.
+
+    The body returns ``(payload, pairs, evaluated)``: the orbit-weighted
+    pair count and the number of pairs it checked (see
+    :class:`ShardMeta`).
 
     The body runs under the *shard's* caching flag (scoped, so the
     serial in-process path restores the caller's state afterwards) —
@@ -1197,10 +1248,11 @@ def _instrumented(
         )
         with activation, obs.memory_delta() as mem:
             t0 = time.perf_counter()
-            payload, pairs = body(shard)
+            payload, pairs, evaluated = body(shard)
             seconds = time.perf_counter() - t0
         after = sweep_cache_info()
         obs.add("sweep.kernel.pairs", pairs)
+        obs.add("sweep.kernel.evaluated", evaluated)
         obs.add("sweep.kernel.shards")
     counter_deltas = {
         name: value - counters_before.get(name, 0)
@@ -1222,6 +1274,7 @@ def _instrumented(
         mask_hi=shard.mask_hi,
         seconds=seconds,
         pairs=pairs,
+        evaluated=evaluated,
         caches=caches,
         cache_enabled=shard.cache_enabled,
         pid=os.getpid(),
@@ -1272,19 +1325,20 @@ def inclusion_kernel(shard: ShardSpec, names: tuple[str, ...]) -> ShardOutcome:
 
     models = _resolve_models(names)
 
-    def body(shard: ShardSpec) -> tuple[list[int], int]:
-        pairs = 0
+    def body(shard: ShardSpec) -> tuple[list[int], int, int]:
+        pairs = evaluated = 0
 
         def verdict_rows():
-            nonlocal pairs
-            for comp, phi in shard.iter_pairs():
-                pairs += 1
+            nonlocal pairs, evaluated
+            for comp, phi, weight in shard.iter_pairs():
+                pairs += weight
+                evaluated += 1
                 yield tuple(
                     cached_membership(m, comp, phi) for m in models.values()
                 )
 
         bad = kernels.inclusion_fold(len(names), verdict_rows())
-        return bad, pairs
+        return bad, pairs, evaluated
 
     return _instrumented(body, shard)
 
@@ -1305,11 +1359,12 @@ def witness_kernel(
     names = tuple(sorted({x for e in edges for x in e}))
     models = _resolve_models(names)
 
-    def body(shard: ShardSpec) -> tuple[dict, int]:
+    def body(shard: ShardSpec) -> tuple[dict, int, int]:
         found: dict[tuple[str, str], SeparationWitness] = {}
-        pairs = 0
-        for comp, phi in shard.iter_pairs():
-            pairs += 1
+        pairs = evaluated = 0
+        for comp, phi, weight in shard.iter_pairs():
+            pairs += weight
+            evaluated += 1
             verdicts: dict[str, bool] = {}
 
             def member(name: str) -> bool:
@@ -1326,7 +1381,7 @@ def witness_kernel(
                     found[(a, b)] = SeparationWitness(comp, phi, b, a)
             if len(found) == len(edges):
                 break
-        return found, pairs
+        return found, pairs, evaluated
 
     return _instrumented(body, shard)
 
@@ -1348,12 +1403,13 @@ def nonconstructibility_kernel(
 
     models = _resolve_models(names)
 
-    def body(shard: ShardSpec) -> tuple[dict, int]:
+    def body(shard: ShardSpec) -> tuple[dict, int, int]:
         alphabet = shard.universe().alphabet
         found: dict[str, NonconstructibilityWitness] = {}
-        pairs = 0
-        for comp, phi in shard.iter_pairs():
-            pairs += 1
+        pairs = evaluated = 0
+        for comp, phi, weight in shard.iter_pairs():
+            pairs += weight
+            evaluated += 1
             for name, model in models.items():
                 if name in found or not cached_membership(model, comp, phi):
                     continue
@@ -1362,7 +1418,7 @@ def nonconstructibility_kernel(
                     found[name] = NonconstructibilityWitness(comp, phi, bad)
             if len(found) == len(names):
                 break
-        return found, pairs
+        return found, pairs, evaluated
 
     return _instrumented(body, shard)
 
@@ -1400,14 +1456,15 @@ def lattice_battery_kernel(
     # asked is a first-witness search and all are locally answered.
     may_break = not constructibility and thm23_probes is None
 
-    def body(shard: ShardSpec) -> tuple[dict, int]:
+    def body(shard: ShardSpec) -> tuple[dict, int, int]:
         alphabet = shard.universe().alphabet
         found_w: dict[tuple[str, str], SeparationWitness] = {}
         found_nc: dict[str, NonconstructibilityWitness] = {}
         lc_in_nn = nn_minus_lc = stuck = 0
-        pairs = 0
-        for comp, phi in shard.iter_pairs():
-            pairs += 1
+        pairs = evaluated = 0
+        for comp, phi, weight in shard.iter_pairs():
+            pairs += weight
+            evaluated += 1
             verdicts: dict[str, bool] = {}
 
             def member(name: str) -> bool:
@@ -1422,16 +1479,16 @@ def lattice_battery_kernel(
                     found_w[(a, b)] = SeparationWitness(comp, phi, b, a)
             if thm23_probes is not None and member("NN"):
                 if member("LC"):
-                    lc_in_nn += 1
+                    lc_in_nn += weight
                 else:
-                    nn_minus_lc += 1
+                    nn_minus_lc += weight
                     if (
                         augmentation_closed_at(
                             models["NN"], comp, phi, thm23_probes
                         )
                         is not None
                     ):
-                        stuck += 1
+                        stuck += weight
             for name in constructibility:
                 if name in found_nc or not member(name):
                     continue
@@ -1449,7 +1506,7 @@ def lattice_battery_kernel(
             "nonconstructibility": found_nc,
             "thm23": (lc_in_nn, nn_minus_lc, stuck),
         }
-        return payload, pairs
+        return payload, pairs, evaluated
 
     return _instrumented(body, shard)
 
@@ -1460,20 +1517,21 @@ def thm23_kernel(shard: ShardSpec, probes: tuple) -> ShardOutcome:
     from repro.models.base import cached_membership
     from repro.models.constructibility import augmentation_closed_at
 
-    def body(shard: ShardSpec) -> tuple[tuple[int, int, int], int]:
+    def body(shard: ShardSpec) -> tuple[tuple[int, int, int], int, int]:
         lc_in_nn = total = stuck = 0
-        pairs = 0
-        for comp, phi in shard.iter_pairs():
-            pairs += 1
+        pairs = evaluated = 0
+        for comp, phi, weight in shard.iter_pairs():
+            pairs += weight
+            evaluated += 1
             if not cached_membership(NN, comp, phi):
                 continue
             if cached_membership(LC, comp, phi):
-                lc_in_nn += 1
+                lc_in_nn += weight
                 continue
-            total += 1
+            total += weight
             if augmentation_closed_at(NN, comp, phi, probes) is not None:
-                stuck += 1
-        return (lc_in_nn, total, stuck), pairs
+                stuck += weight
+        return (lc_in_nn, total, stuck), pairs, evaluated
 
     return _instrumented(body, shard)
 

@@ -1,7 +1,7 @@
 """Tests for random dag generators, SP algebra, and dag enumeration."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -25,6 +25,7 @@ from repro.dag import (
     unique_dags,
 )
 from repro.dag.canon import canonical_labelling
+from repro.dag.enumerate import ordered_orbits
 
 
 class TestGnp:
@@ -166,6 +167,51 @@ class TestEnumeration:
         assert len(list(unique_dags(2))) == 2
         assert len(list(unique_dags(3))) == 6
         assert len(list(unique_dags(4))) == 31
+
+    def test_unique_dags_are_first_per_canonical_form(self):
+        for n in range(6):
+            first = {}
+            for dag in ordered_dags(n):
+                first.setdefault(canonical_form(dag), dag)
+            assert list(unique_dags(n)) == list(first.values())
+
+    @pytest.mark.parametrize(
+        "n, labels", [(n, "a") for n in range(6)] + [(n, "ab") for n in range(5)]
+    )
+    def test_ordered_orbits_match_brute_force(self, n, labels):
+        """Representatives and orbit sizes against all ``n!`` renamings:
+        a labelled ordered dag is kept iff no renaming onto an ordered
+        dag gives a smaller ``(mask, labelling)``, and its orbit size is
+        the number of distinct such renamings."""
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+        def key(edges, labelling):
+            mask = sum(1 << pairs.index(e) for e in edges)
+            return mask, tuple(labels.index(x) for x in labelling)
+
+        expected = []
+        for dag in ordered_dags(n):
+            for labelling in product(labels, repeat=n):
+                orbit = set()
+                for perm in permutations(range(n)):
+                    edges = {(perm[u], perm[v]) for u, v in dag.edges}
+                    if all(u < v for u, v in edges):
+                        moved = [None] * n
+                        for u in range(n):
+                            moved[perm[u]] = labelling[u]
+                        orbit.add(key(edges, moved))
+                if min(orbit) == key(dag.edges, labelling):
+                    expected.append((dag, labelling, len(orbit)))
+        assert list(ordered_orbits(n, tuple(labels))) == expected
+
+    def test_ordered_orbits_shards_concatenate(self):
+        whole = list(ordered_orbits(4, "ab"))
+        parts = [
+            item
+            for lo, hi in ((0, 5), (5, 40), (40, 64))
+            for item in ordered_orbits(4, "ab", lo, hi)
+        ]
+        assert parts == whole
 
     def test_canonical_form_invariant(self):
         a = Dag(3, [(0, 1)])

@@ -1,9 +1,11 @@
 """Isomorphism invariance: node names never matter.
 
-The universes enumerate only dags whose id order is topological; that
-covers every behaviour *because* all the models are invariant under node
-relabelling.  These property tests pin that license down for all six
-models, the race detector, and the dag metrics.
+The universes enumerate only dags whose id order is topological, and
+the sweep engine checks only the first computation of each isomorphism
+class; both cover every behaviour *because* all the models are invariant
+under node relabelling.  These property tests pin that license down for
+every model the sweep checks, the Theorem-12 closure test, the race
+detector, and the dag metrics.
 """
 
 import random
@@ -14,10 +16,20 @@ from hypothesis import strategies as st
 
 from repro.core import relabel_computation, relabel_observer
 from repro.errors import InvalidComputationError
-from repro.models import LC, NN, NW, SC, WN, WW
+from repro.models import (
+    CC,
+    LC,
+    NN,
+    NW,
+    SC,
+    WN,
+    WW,
+    augmentation_closed_at,
+    default_alphabet,
+)
 from tests.conftest import computations, computations_with_observer
 
-MODELS = (SC, LC, NN, NW, WN, WW)
+MODELS = (SC, LC, CC, NN, NW, WN, WW)
 
 
 def random_perm(n: int, seed: int) -> list[int]:
@@ -66,6 +78,24 @@ class TestModelInvariance:
         for m in MODELS:
             assert m.contains(comp, phi) == m.contains(
                 moved_comp, moved_phi
+            ), m.name
+
+    @given(computations_with_observer(max_nodes=5), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_augmentation_blocking_op_iso_invariant(self, pair, seed):
+        """The Theorem-12 test names the same blocking op after renaming,
+        which the sweep's nonconstructibility witnesses and Theorem-23
+        ``stuck`` counts rely on."""
+        comp, phi = pair
+        perm = random_perm(comp.num_nodes, seed)
+        moved_comp = relabel_computation(comp, perm)
+        moved_phi = relabel_observer(phi, perm, moved_comp)
+        alphabet = default_alphabet(("x",))
+        for m in MODELS:
+            assert augmentation_closed_at(
+                m, comp, phi, alphabet
+            ) == augmentation_closed_at(
+                m, moved_comp, moved_phi, alphabet
             ), m.name
 
     @given(computations(max_nodes=6), st.integers(0, 10_000))

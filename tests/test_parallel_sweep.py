@@ -14,12 +14,15 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+from itertools import permutations
 
 import pytest
 
 from repro import obs
 from repro._caching import caches_enabled, sweep_caching
+from repro.core import relabel_computation, relabel_observer
 from repro.core.ops import N as NOP, R
+from repro.dag.canon import canonical_labelling
 from repro.errors import ConfigError
 from repro.models import (
     LC,
@@ -71,21 +74,69 @@ def test_shards_partition_enumeration_space(universe, jobs):
     assert keys == sorted(keys)
 
 
+ORBIT_UNIVERSES = (
+    Universe(max_nodes=4, locations=("x",)),
+    Universe(max_nodes=4, locations=("x",), include_nop=False),
+    Universe(max_nodes=3, locations=("x", "y")),
+)
+
+
+def _renamings(comp):
+    """Every distinct ordered computation isomorphic to ``comp``, each
+    with the first node permutation (in ``permutations`` order) giving it."""
+    out = {}
+    for perm in permutations(range(comp.num_nodes)):
+        if all(perm[u] < perm[v] for u, v in comp.dag.edges):
+            out.setdefault(relabel_computation(comp, perm), perm)
+    return out
+
+
 def test_shards_cover_every_pair_exactly_once():
-    """Concatenated shard pairs reproduce the serial enumeration."""
-    serial = [
-        (comp, phi)
-        for n in range(WITNESS.max_nodes + 1)
-        for comp in WITNESS.computations_of_size(n)
-        for phi in WITNESS.observers(comp)
-    ]
-    sharded = [
-        pair
-        for shard in make_shards(WITNESS, jobs=4)
-        for pair in shard.iter_pairs()
-    ]
-    assert len(sharded) == len(serial)
-    assert sharded == serial
+    """Shards yield one computation per isomorphism class, weighted by
+    the class size, and account for every labelled pair exactly once.
+
+    * The representatives, concatenated over shards, are the first
+      computation of each ``canonical_labelling`` certificate in the
+      labelled ``computations_of_size`` order.
+    * ``Σ weight × observers`` is ``count_pairs(n)``.
+    * Carrying each representative pair to each isomorphic ordered
+      computation (along one fixed renaming per computation) gives
+      every labelled pair once.
+    """
+    for universe in ORBIT_UNIVERSES:
+        sharded = [
+            triple
+            for shard in make_shards(universe, jobs=4)
+            for triple in shard.iter_pairs()
+        ]
+        for n in range(universe.max_nodes + 1):
+            first = {}
+            for comp in universe.computations_of_size(n):
+                cert, _ = canonical_labelling(
+                    n, comp.dag.edges, [repr(op) for op in comp.ops]
+                )
+                first.setdefault(cert, comp)
+            observers = {}
+            for comp, phi, weight in sharded:
+                if comp.num_nodes == n:
+                    observers.setdefault((comp, weight), []).append(phi)
+            assert [c for c, _ in observers] == list(first.values())
+            assert sum(
+                w * len(phis) for (_, w), phis in observers.items()
+            ) == universe.count_pairs(n)
+
+            labelled = list(universe.pairs(n))
+            carried = []
+            for (comp, weight), phis in observers.items():
+                renamings = _renamings(comp)
+                assert len(renamings) == weight
+                for phi in phis:
+                    for moved, perm in renamings.items():
+                        carried.append(
+                            (moved, relabel_observer(phi, perm, moved))
+                        )
+            assert len(carried) == len(labelled)
+            assert set(carried) == set(labelled), (universe, n)
 
 
 def test_shard_spec_pickle_round_trip():
@@ -201,6 +252,20 @@ def test_parallel_thm23_counts_match_serial_loop():
             WITNESS, probes=probes, jobs=jobs, parallel_threshold=0
         )
         assert counts == (lc_in_nn, nn_minus_lc, stuck)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_full_scan_counts_universe_pairs_and_evaluated_orbits(jobs):
+    """``pairs`` is the universe's pair count on a full scan; only one
+    computation per isomorphism class is evaluated."""
+    _, stats = parallel_inclusion_matrix(
+        (SC, LC), WITNESS, jobs=jobs, parallel_threshold=0
+    )
+    assert sum(WITNESS.count_pairs(n) for n in range(5)) == 4734
+    assert (stats.pairs, stats.evaluated) == (4734, 1721)
+    assert all(m.evaluated <= m.pairs for m in stats.shards)
+    assert stats.to_dict()["evaluated"] == 1721
+    assert "4734 pairs (1721 evaluated)" in stats.render()
 
 
 def test_small_universe_demotes_to_serial_despite_jobs():
@@ -347,6 +412,7 @@ def test_sweep_stats_span_grafted_into_live_trace():
         assert stats.span in sweep_spans
         counts = obs.counters()
         assert counts["sweep.pairs"] == stats.pairs
+        assert counts["sweep.evaluated"] == stats.evaluated
         assert counts["sweep.cache.consultations"] == stats.cache_consultations()
         totals = stats.cache_totals()
         assert counts["sweep.cache.hits"] == sum(
@@ -537,9 +603,12 @@ class TestSweepMonitor:
         # iter_pairs hands back the raw enumeration, not the heartbeat
         # wrapper (zero overhead on the unmonitored hot path).
         pairs = list(spec.iter_pairs())
-        assert pairs == list(
-            spec.universe().pairs(2, (0, 2))
-        )
+        universe = spec.universe()
+        assert pairs == [
+            (comp, phi, weight)
+            for comp, weight in universe.representatives(2, (0, 2))
+            for phi in universe.observers(comp)
+        ]
 
     def test_listener_exceptions_are_swallowed(self):
         from repro.runtime.parallel import SweepMonitor
