@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro import _caching
 from repro.core.computation import Computation
@@ -72,13 +72,20 @@ class MemoryModel(ABC):
     #: can change after construction must set this to False).
     cache_membership: bool = True
 
-    #: Optional closed-form answer to the Theorem-12 one-step test: a
-    #: method ``(comp, phi, o) -> bool`` deciding whether some Φ' in the
-    #: model on ``aug_o(comp)`` restricts to ``phi``, equivalent to (but
-    #: faster than) the candidate search in
-    #: :func:`repro.models.constructibility.can_extend_to_augmentation`.
-    #: ``None`` means "use the generic search".
-    augmentation_extends = None
+    #: Optional closed-form answer to the Theorem-12 one-step test, for
+    #: every op at once: a method ``(comp, phi) -> tuple[Location, ...]
+    #: | None``.  ``None`` means ``(comp, phi)`` is not a member, so no
+    #: augmentation extends it; otherwise the result lists the *stuck*
+    #: locations, those where no value of ``Φ'(l, f)`` keeps
+    #: ``aug_o(comp)`` in the model unless ``o`` writes ``l`` (which
+    #: forces ``Φ'(l, f) = f``).  So Φ extends to ``aug_o(comp)`` iff
+    #: the result is not ``None`` and ``o`` writes every listed
+    #: location.  It must agree with the candidate search in
+    #: :func:`repro.models.constructibility.augmentation_extensions`;
+    #: a model without the hook (``None`` here) gets that search.
+    augmentation_stuck_locations: (
+        Callable[[Computation, ObserverFunction], tuple[Location, ...] | None] | None
+    ) = None
 
     @abstractmethod
     def contains(self, comp: Computation, phi: ObserverFunction) -> bool:

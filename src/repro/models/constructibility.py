@@ -12,7 +12,15 @@ This module provides:
 * :func:`augmentation_extensions` — the Φ' candidates for ``aug_o(C)``
   extending a given Φ (only the final node's row entries are free).
 * :func:`can_extend_to_augmentation` / :func:`augmentation_closed_at` —
-  the Theorem-12 one-step test at a single pair.
+  the Theorem-12 one-step test at a single pair.  SC, LC and the four
+  named dag-consistency models (NN, NW, WN, WW) take a closed form via
+  their ``augmentation_stuck_locations`` hook and never build
+  ``aug_o(C)``: SC and LC reduce to membership (Theorem 19's argument),
+  the dag-consistent ones to a per-location fiber test (derived in
+  :mod:`repro.models.dag_consistency`).  CC, dag consistency with a
+  user-supplied predicate, intersections, unions and explicit models
+  take the generic candidate search, which also stays the uncached
+  baseline and the test oracle.
 * :func:`find_nonconstructibility_witness` — search a bounded universe
   for a pair that cannot be extended (e.g. rediscovers Figure 4 for NN).
 * :func:`constructible_version` — the bounded-universe greatest-fixpoint
@@ -108,25 +116,43 @@ def _extension_pairs(
     return tuple(augmentation_extensions(comp, phi, o))
 
 
+def _stuck_hook(model: MemoryModel):
+    """The model's closed-form Theorem-12 hook, or ``None`` for the search.
+
+    With caching disabled the hook is bypassed too, so the uncached
+    baseline runs the generic candidate search for every model.
+    """
+    return model.augmentation_stuck_locations if _caching.ENABLED else None
+
+
+def _unblocked(stuck: tuple[Location, ...] | None, o: Op) -> bool:
+    """Whether ``o`` extends a pair with these stuck locations."""
+    return stuck is not None and all(o.writes(loc) for loc in stuck)
+
+
 def can_extend_to_augmentation(
     model: MemoryModel, comp: Computation, phi: ObserverFunction, o: Op
 ) -> bool:
     """True iff some Φ' ∈ Δ(aug_o(C)) restricts to Φ.
 
-    Models with a proved closed-form answer (SC and LC override
-    ``augmentation_extends``) skip the candidate search; the test suite
-    checks those shortcuts against this generic search on whole
-    universes.  With caching disabled both shortcuts and memoization are
-    bypassed, preserving the baseline code path for benchmarks.
+    Models with a closed-form ``augmentation_stuck_locations`` hook (SC,
+    LC and the four named dag-consistency variants) answer from the
+    stuck locations of ``(comp, phi)``, without building ``aug_o(C)``:
+    Φ extends iff the pair is a member and ``o`` writes every stuck
+    location.  Every other model gets the generic search, which builds
+    each candidate Φ' (:func:`augmentation_extensions`) and tests its
+    membership.  ``tests/test_augmentation_hooks.py`` pins every hook to
+    that search.  With caching disabled both the hooks and memoization
+    are bypassed, preserving the baseline code path for benchmarks.
     """
+    hook = _stuck_hook(model)
+    if hook is not None:
+        return _unblocked(hook(comp, phi), o)
     if not _caching.ENABLED:
         return any(
             model.contains(aug, phi2)
             for aug, phi2 in augmentation_extensions(comp, phi, o)
         )
-    fast = model.augmentation_extends
-    if fast is not None:
-        return fast(comp, phi, o)
     return any(
         cached_membership(model, aug, phi2)
         for aug, phi2 in _extension_pairs(comp, phi, o)
@@ -143,8 +169,14 @@ def augmentation_closed_at(
 
     Returns ``None`` if Φ extends to ``aug_o(C)`` within the model for
     every ``o`` in the alphabet, else the first failing ``o`` (a
-    non-constructibility certificate for monotonic models).
+    non-constructibility certificate for monotonic models).  A model
+    with a closed-form hook computes its stuck locations once and
+    returns the first op that leaves one of them unwritten.
     """
+    hook = _stuck_hook(model)
+    if hook is not None:
+        stuck = hook(comp, phi)
+        return next((o for o in alphabet if not _unblocked(stuck, o)), None)
     for o in alphabet:
         if not can_extend_to_augmentation(model, comp, phi, o):
             return o

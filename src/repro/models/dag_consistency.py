@@ -29,6 +29,31 @@ Two implementations are provided and cross-checked by the test suite:
 
 All four reduce to a handful of bitset intersections per (node, fiber)
 pair via the cached transitive closure.
+
+The same fibers decide the Theorem-12 one-step test without building
+``aug_o(C)``.  Definition 11 makes the new node ``f`` a sink that
+succeeds every node, so the only triples it adds are ``u ≺ v ≺ f``, and
+each Q reads only ``op(u)`` and ``op(v)``.  The old triples are
+unchanged, so a member extends iff the new triples can be satisfied,
+and they are independent per location.  At a location ``l`` that ``o``
+writes, ``Φ'(l, f) = f`` is forced; no old node observes ``f``, so no
+new triple applies.  Otherwise the candidates for ``x = Φ'(l, f)`` are
+``⊥`` and the writers of ``l``, and ``x`` fails iff some eligible
+middle ``v ∉ S(l, x)`` has an eligible ancestor ``u ∈ S(l, x)``:
+
+  - the middle ``v`` is any node for NN and WN, a writer of ``l`` for NW
+    and WW;
+  - the source ``u`` is any node for NN and NW, a writer of ``l`` for WN
+    and WW.  Under NN and NW ``u = ⊥`` also counts: it precedes every
+    node, so ``x = ⊥`` fails as soon as an eligible ``v`` lies outside
+    the ``⊥`` fiber.  Under WN and WW the ``⊥`` fiber holds no writer,
+    so ``x = ⊥`` always passes, which is why both are
+    augmentation-closed.
+
+A location where no candidate passes is *stuck*: the pair extends to
+``aug_o(C)`` iff ``o`` writes every stuck location.  The stuck set does
+not depend on ``o``, so ``QDagConsistency.augmentation_stuck_locations``
+computes it once per pair in ``O(|L|·n²)`` bit operations.
 """
 
 from __future__ import annotations
@@ -39,7 +64,7 @@ from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction
 from repro.core.ops import Location, merged_locations
 from repro.dag.digraph import bit_indices
-from repro.models.base import MemoryModel
+from repro.models.base import MemoryModel, cached_membership
 from repro.models.predicates import (
     Predicate,
     nn_predicate,
@@ -69,6 +94,14 @@ def dag_consistency_triples(
                 yield u, v, w
 
 
+def _fibers(row) -> dict[int | None, int]:
+    """Bitset of the nodes observing each value of one observer row."""
+    fibers: dict[int | None, int] = {}
+    for u, x in enumerate(row):
+        fibers[x] = fibers.get(x, 0) | (1 << u)
+    return fibers
+
+
 class QDagConsistency(MemoryModel):
     """The Q-dag consistency model for a given predicate.
 
@@ -93,6 +126,13 @@ class QDagConsistency(MemoryModel):
         self.predicate = predicate
         self.name = name
         self.variant = variant
+        self._middle_writes = variant in ("NW", "WW")
+        self._source_writes = variant in ("WN", "WW")
+        # A user-supplied predicate has no closed form: the generic
+        # Theorem-12 search (see the base class hook) applies.
+        self.augmentation_stuck_locations = (
+            None if variant is None else self._stuck_locations
+        )
         self._check = (
             None
             if variant is None
@@ -131,9 +171,7 @@ class QDagConsistency(MemoryModel):
 
     @staticmethod
     def _check_nn(comp: Computation, loc: Location, row) -> bool:
-        fibers: dict[int | None, int] = {}
-        for u, x in enumerate(row):
-            fibers[x] = fibers.get(x, 0) | (1 << u)
+        fibers = _fibers(row)
         dag = comp.dag
         bot = fibers.get(None, 0)
         for x, members in fibers.items():
@@ -154,9 +192,7 @@ class QDagConsistency(MemoryModel):
 
     @staticmethod
     def _check_nw(comp: Computation, loc: Location, row) -> bool:
-        fibers: dict[int | None, int] = {}
-        for u, x in enumerate(row):
-            fibers[x] = fibers.get(x, 0) | (1 << u)
+        fibers = _fibers(row)
         dag = comp.dag
         for v in comp.writers(loc):
             for x, members in fibers.items():
@@ -174,9 +210,7 @@ class QDagConsistency(MemoryModel):
 
     @staticmethod
     def _check_wn(comp: Computation, loc: Location, row) -> bool:
-        fibers: dict[int | None, int] = {}
-        for u, x in enumerate(row):
-            fibers[x] = fibers.get(x, 0) | (1 << u)
+        fibers = _fibers(row)
         dag = comp.dag
         for x, members in fibers.items():
             if x is None:
@@ -189,9 +223,7 @@ class QDagConsistency(MemoryModel):
 
     @staticmethod
     def _check_ww(comp: Computation, loc: Location, row) -> bool:
-        fibers: dict[int | None, int] = {}
-        for u, x in enumerate(row):
-            fibers[x] = fibers.get(x, 0) | (1 << u)
+        fibers = _fibers(row)
         dag = comp.dag
         writers_mask = comp.writers_mask(loc)
         for x, members in fibers.items():
@@ -202,6 +234,47 @@ class QDagConsistency(MemoryModel):
                 if dag.descendants_mask(v) & members:
                     return False
         return True
+
+    # ------------------------------------------------------------------
+    # Closed-form Theorem-12 test (named variants)
+    # ------------------------------------------------------------------
+
+    def _stuck_locations(
+        self, comp: Computation, phi: ObserverFunction
+    ) -> tuple[Location, ...] | None:
+        """Locations no ``Φ'(l, f)`` can serve unless ``o`` writes them.
+
+        ``None`` if ``(comp, phi)`` is not a member.  The local rule is
+        derived in the module docstring; locations outside ``comp`` and
+        ``phi`` have an all-``⊥`` row and no writer, so ``⊥`` serves them.
+        """
+        if not cached_membership(self, comp, phi):
+            return None
+        dag = comp.dag
+        everyone = (1 << comp.num_nodes) - 1
+        bottom_source = not self._source_writes
+        stuck = []
+        for loc in merged_locations(comp.locations, phi.locations):
+            writers = comp.writers_mask(loc)
+            middles = writers if self._middle_writes else everyone
+            sources = writers if self._source_writes else everyone
+            fibers = _fibers(phi.row(loc))
+
+            def passes(x: int | None) -> bool:
+                members = fibers.get(x, 0)
+                outside = middles & ~members
+                if not outside:
+                    return True
+                if x is None and bottom_source:
+                    return False
+                below = 0
+                for u in bit_indices(members & sources):
+                    below |= dag.descendants_mask(u)
+                return not below & outside
+
+            if not any(passes(x) for x in (None, *bit_indices(writers))):
+                stuck.append(loc)
+        return tuple(stuck)
 
     def contains(self, comp: Computation, phi: ObserverFunction) -> bool:
         check = self._check

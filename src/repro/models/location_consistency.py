@@ -79,8 +79,9 @@ class LocationConsistency(MemoryModel):
             for loc in self._locations(comp, phi)
         )
 
-    def augmentation_extends(self, comp, phi, o) -> bool:
-        """Closed-form Theorem-12 test: LC closure reduces to membership.
+    def augmentation_stuck_locations(self, comp, phi):
+        """Closed-form Theorem-12 test: LC closure reduces to membership,
+        so a member has no stuck location.
 
         Definition 18 decouples locations: if each location ``l`` has a
         sort ``T_l`` with ``W_{T_l}(l, ·) = Φ(l, ·)``, then ``T_l·f``
@@ -90,7 +91,7 @@ class LocationConsistency(MemoryModel):
         an LC extension to an LC member.  This is Theorem 19's closure
         argument, specialized to one augmentation step.
         """
-        return cached_membership(self, comp, phi)
+        return () if cached_membership(self, comp, phi) else None
 
     def witness_orders(
         self, comp: Computation, phi: ObserverFunction

@@ -139,8 +139,9 @@ class SequentialConsistency(MemoryModel):
             return result
         return None
 
-    def augmentation_extends(self, comp, phi, o) -> bool:
-        """Closed-form Theorem-12 test: SC closure reduces to membership.
+    def augmentation_stuck_locations(self, comp, phi):
+        """Closed-form Theorem-12 test: SC closure reduces to membership,
+        so a member has no stuck location.
 
         If ``(C, Φ) ∈ SC`` with witness sort ``T``, then ``T·f`` is a
         topological sort of ``aug_o(C)`` (the final node succeeds
@@ -150,7 +151,7 @@ class SequentialConsistency(MemoryModel):
         dropping ``f`` from its witness sort.  Hence extendability is
         exactly membership, for every op ``o``.
         """
-        return cached_membership(self, comp, phi)
+        return () if cached_membership(self, comp, phi) else None
 
     def observers(self, comp, locations=None):
         """Generate SC observer functions directly from topological sorts.

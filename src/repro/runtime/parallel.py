@@ -1392,8 +1392,9 @@ def nonconstructibility_kernel(
     """Per-shard first Theorem-12 failure for each named model.
 
     Fuses what was previously one full universe sweep *per model* into a
-    single pass; the model-independent augmentation extensions are shared
-    across models through the ``extension_pairs`` cache.
+    single pass.  Models with a closed-form Theorem-12 hook answer from
+    it; the others share the model-independent augmentation extensions
+    through the ``extension_pairs`` cache.
     """
     from repro.models.base import cached_membership
     from repro.models.constructibility import (
@@ -1434,9 +1435,10 @@ def lattice_battery_kernel(
     Fuses the separation-witness, nonconstructibility and Theorem-23
     sweeps over a single shard scan: each pair's membership verdicts are
     computed lazily at most once and shared by every question, and the
-    model-independent augmentation extensions are shared by every
-    closure test.  This locality is what the per-question sweeps of the
-    seed code structurally could not exploit.
+    closure tests of models without a closed-form Theorem-12 hook share
+    the model-independent augmentation extensions.  This locality is
+    what the per-question sweeps of the seed code structurally could
+    not exploit.
     """
     from repro.models.base import cached_membership
     from repro.models.constructibility import (

@@ -447,6 +447,11 @@ def check_document(
     return verdict
 
 
+def _error_verdict(exc: Exception) -> dict:
+    """The verdict of an item whose parse, load or check raised."""
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "seconds": 0.0}
+
+
 def _admitted(verdicts: dict[str, bool | None]) -> bool | None:
     booleans = [v for v in verdicts.values() if isinstance(v, bool)]
     if not booleans:
@@ -884,16 +889,7 @@ class TraceCheckService:
                     line, self.options
                 )
             except (ReproError, ValueError, TypeError) as exc:
-                finish(
-                    ItemResult(
-                        index,
-                        {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "seconds": 0.0,
-                        },
-                    )
-                )
+                finish(ItemResult(index, _error_verdict(exc)))
                 continue
             if env_trace is not None:
                 # A per-item traceparent overrides the batch context:
@@ -911,16 +907,7 @@ class TraceCheckService:
                 obj = _load_document(doc)
                 item.key, item.perm = request_fingerprint(obj, options)
             except (ReproError, ValueError, TypeError, KeyError) as exc:
-                finish(
-                    ItemResult(
-                        index,
-                        {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "seconds": 0.0,
-                        },
-                    )
-                )
+                finish(ItemResult(index, _error_verdict(exc)))
                 continue
             entry = self.cache.get(item.key)
             if entry is not None and self._serve_hit(entry, item, finish):
@@ -1034,15 +1021,23 @@ class TraceCheckService:
                 )
             )
 
-        def recheck_inline(pending: _PendingItem) -> dict:
-            """Run an item in this process, trace context included."""
+        def check_inline(pending: _PendingItem) -> tuple[dict, bool]:
+            """Run an item in this process, trace context included.
+
+            Returns ``(verdict, cacheable)``.  A check that crashes
+            becomes the item's uncached error verdict, exactly as a
+            crash in a pool worker does.
+            """
             ctx = pending.ctx
             trace = (
                 ctx.as_tuple() if ctx is not None and ctx.sampled else None
             )
-            verdict = check_document(pending.doc, pending.options, trace)
+            try:
+                verdict = check_document(pending.doc, pending.options, trace)
+            except Exception as exc:
+                return _error_verdict(exc), False
             graft_worker_span(verdict)
-            return verdict
+            return verdict, True
 
         def settle(
             item: _PendingItem, verdict: dict, cache: bool = True
@@ -1075,7 +1070,7 @@ class TraceCheckService:
                     finish(
                         ItemResult(
                             twin.index,
-                            recheck_inline(twin),
+                            check_inline(twin)[0],
                             cached=False,
                         )
                     )
@@ -1122,15 +1117,7 @@ class TraceCheckService:
                         # The check itself crashed: this item (and its
                         # twins) get an error verdict, never cached, and
                         # the rest of the batch carries on.
-                        settle(
-                            item,
-                            {
-                                "ok": False,
-                                "error": f"{type(exc).__name__}: {exc}",
-                                "seconds": 0.0,
-                            },
-                            cache=False,
-                        )
+                        settle(item, _error_verdict(exc), cache=False)
                     else:
                         settle(item, verdict)
         except BrokenProcessPool:
@@ -1145,15 +1132,8 @@ class TraceCheckService:
                 items=len(failed),
             )
             for item in failed:
-                ctx = item.ctx
-                trace = (
-                    ctx.as_tuple()
-                    if ctx is not None and ctx.sampled
-                    else None
-                )
-                settle(
-                    item, check_document(item.doc, item.options, trace)
-                )
+                verdict, cacheable = check_inline(item)
+                settle(item, verdict, cache=cacheable)
         if monitor is not None:
             monitor.on_sweep_done(
                 f"serve:{label}", time.perf_counter() - t0

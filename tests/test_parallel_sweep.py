@@ -42,6 +42,7 @@ from repro.runtime.parallel import (
     inclusion_kernel,
     make_shards,
     parallel_inclusion_matrix,
+    parallel_lattice_battery,
     parallel_nonconstructibility_witnesses,
     parallel_separation_witnesses,
     parallel_thm23_counts,
@@ -252,6 +253,53 @@ def test_parallel_thm23_counts_match_serial_loop():
             WITNESS, probes=probes, jobs=jobs, parallel_threshold=0
         )
         assert counts == (lc_in_nn, nn_minus_lc, stuck)
+
+
+@pytest.mark.parametrize(
+    "universe, probes",
+    [
+        (SWEEP, (R("x"), NOP)),
+        (WITNESS, (R("x"),)),
+    ],
+)
+def test_cached_battery_matches_uncached_generic_path(universe, probes):
+    """The closed-form Theorem-12 hooks and the memo layer change no
+    result: ``sweep_caching(False)`` runs the generic candidate search,
+    and the battery's witnesses, blocking ops and Theorem-23 counts are
+    ``repr``-identical either way."""
+    from repro.analysis.lattice import (
+        PAPER_EDGES,
+        PAPER_INCOMPARABLE,
+        PAPER_MODELS,
+    )
+
+    edges = list(PAPER_EDGES)
+    for a, b in PAPER_INCOMPARABLE:
+        edges += [(a, b), (b, a)]
+
+    def run():
+        clear_sweep_caches()
+        battery, _ = parallel_lattice_battery(
+            universe,
+            edges=edges,
+            constructibility=PAPER_MODELS,
+            thm23_probes=probes,
+            jobs=1,
+        )
+        counts, _ = parallel_thm23_counts(universe, probes=probes, jobs=1)
+        return repr(
+            (
+                battery.witnesses,
+                battery.nonconstructibility,
+                battery.thm23,
+                counts,
+            )
+        )
+
+    cached = run()
+    with sweep_caching(False):
+        uncached = run()
+    assert cached == uncached
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -533,6 +533,68 @@ class TestService:
         assert good.verdict["ok"] and good.verdict["admitted"]
         assert not again.cached
 
+    def test_crash_after_broken_pool_fails_item_not_batch(self, monkeypatch):
+        """The in-process retry after a broken pool handles a crashing
+        check like the pool does: that item (and its twin) get the
+        error verdict, nothing is cached for it, and the other items
+        are still answered."""
+        import repro.serve.service as service
+
+        real = service._check_object
+        parent = os.getpid()
+
+        def kill_worker_then_crash(obj, options):
+            if obj.comp.num_nodes == 3:
+                if os.getpid() != parent:
+                    os._exit(1)  # a dying worker breaks the pool
+                raise RuntimeError("checker bug")
+            return real(obj, options)
+
+        # Patched before the first batch forks the pool.
+        monkeypatch.setattr(service, "_check_object", kill_worker_then_crash)
+        with TraceCheckService(jobs=2) as svc:
+            first, good, twin = svc.check_batch(
+                lines_for(bad_trace(), good_trace(), bad_trace())
+            )
+            (again,) = svc.check_batch(lines_for(bad_trace()))
+            cached = len(svc.cache)
+        for item in (first, twin, again):
+            assert item.verdict["ok"] is False
+            assert item.verdict["error"] == "RuntimeError: checker bug"
+        assert good.verdict["ok"] and good.verdict["admitted"]
+        assert not again.cached
+        assert cached == 1  # the good trace only
+
+    def test_crashing_untranslatable_twin_fails_item_not_batch(self, monkeypatch):
+        """A twin whose sanitizer payload cannot be translated is checked
+        in-process; if that check crashes, the twin alone gets the error
+        verdict."""
+        import repro.serve.service as service
+
+        real = service._check_object
+        parent = os.getpid()
+
+        def crash_relabelled_in_parent(obj, options):
+            if os.getpid() == parent and obj.comp.op(2) == R("x"):
+                raise RuntimeError("checker bug")
+            return real(obj, options)
+
+        monkeypatch.setattr(service, "_check_object", crash_relabelled_in_parent)
+        lines = [
+            json.dumps({"document": dump_trace(t), "sanitize": True})
+            for t in (bad_trace(), bad_trace_relabelled(), good_trace())
+        ]
+        with TraceCheckService(jobs=1) as svc:
+            head, twin, good = svc.check_batch(lines)
+        assert head.verdict["ok"] and head.verdict["admitted"] is False
+        assert twin.verdict == {
+            "ok": False,
+            "error": "RuntimeError: checker bug",
+            "seconds": 0.0,
+        }
+        assert not twin.cached
+        assert good.verdict["ok"] and good.verdict["admitted"]
+
     def test_zero_capacity_cache_disables_cross_batch_dedupe(self):
         with TraceCheckService(jobs=1, cache_size=0) as svc:
             svc.check_batch(lines_for(good_trace()))
