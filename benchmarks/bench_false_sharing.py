@@ -1,29 +1,31 @@
 """Page granularity, false sharing, and diff reconciliation (extension).
 
 The real BACKER moved pages, not words.  This bench quantifies the
-consequence and its classical fix, with the LC verifier as the judge:
+consequence and its classical fix, with the LC verifier as the judge.
+A page-granular BACKER is a one-level hierarchy whose line holds one
+page (``line_size = ceil(locations / pages)``):
 
-* **clobber** (whole-page writeback): once several locations share a
+* **clobber** (whole-page writeback, the hierarchy's
+  ``clobber_probability=1.0`` fault): once several locations share a
   page, concurrent disjoint writes destroy each other at reconcile time
   — the verifier rejects essentially every contended execution;
-* **diff** (twin/diff writeback, TreadMarks-style): concurrent disjoint
-  writes merge; LC holds on every run, at the cost of keeping twins;
-* granularity sweep: fewer pages ⇒ fewer page transfers but (in clobber
+* **diff** (the faithful protocol's location-granular dirty sets):
+  concurrent disjoint writes merge, and LC holds on every run;
+* granularity sweep: fewer pages ⇒ fewer store fetches but (in clobber
   mode) more corruption; diff mode keeps correctness flat while the
   transfer counts drop — the coarse-granularity bargain made safe.
 
-Registered in ``registry.py`` as ``false-sharing`` via :func:`run`;
-the pytest parametrizations below remain runnable directly with
-``pytest benchmarks/bench_false_sharing.py``.
+Registered in ``registry.py`` as ``false-sharing`` via :func:`run`.
 """
 
-import pytest
+import math
 
 from repro.lang import matmul_computation
 from repro.runtime import (
-    PagedBackerMemory,
+    HierarchicalBackerMemory,
+    HierarchyConfig,
+    LevelConfig,
     execute,
-    modulo_pager,
     work_stealing_schedule,
 )
 from repro.verify import trace_admits_lc
@@ -32,52 +34,28 @@ COMP = matmul_computation(2)[0]
 RUNS = 15
 
 
+def paged_shape(num_pages: int) -> HierarchyConfig:
+    """One unbounded level with ``COMP``'s locations split into pages."""
+    line_size = math.ceil(len(COMP.locations) / num_pages)
+    return HierarchyConfig(
+        levels=(LevelConfig(capacity=None, line_size=line_size),),
+        name=f"page{line_size}",
+    )
+
+
 def violation_count(
     mode: str, num_pages: int, runs: int = RUNS
 ) -> tuple[int, int, int]:
+    shape = paged_shape(num_pages)
+    clobber = {"clobber": 1.0, "diff": 0.0}[mode]
     violations = fetches = 0
     for seed in range(runs):
         sched = work_stealing_schedule(COMP, 4, rng=seed)
-        mem = PagedBackerMemory(
-            page_of=modulo_pager(num_pages), reconcile_mode=mode
-        )
+        mem = HierarchicalBackerMemory(shape, clobber_probability=clobber)
         trace = execute(sched, mem)
         violations += not trace_admits_lc(trace.partial_observer())
-        fetches += mem.stats.page_fetches
+        fetches += mem.stats.fetches
     return violations, fetches, runs
-
-
-@pytest.mark.parametrize("mode", ["clobber", "diff"])
-def test_false_sharing_verdicts(benchmark, mode):
-    violations, _f, runs = benchmark.pedantic(
-        violation_count, args=(mode, 2), rounds=1
-    )
-    print()
-    print(f"{mode} @ 2 pages: {violations}/{runs} executions violate LC")
-    if mode == "clobber":
-        assert violations > runs // 2  # the hazard is pervasive
-    else:
-        assert violations == 0  # the fix is total
-
-
-def test_granularity_sweep(benchmark):
-    def sweep():
-        rows = []
-        for pages in (1, 2, 8, 64):
-            v_clobber, f_clobber, _ = violation_count("clobber", pages)
-            v_diff, f_diff, _ = violation_count("diff", pages)
-            rows.append((pages, v_clobber, v_diff, f_diff))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1)
-    print()
-    print(f"{'pages':>6} {'clobber viol.':>14} {'diff viol.':>11} {'page fetches':>13}")
-    for pages, vc, vd, fd in rows:
-        print(f"{pages:>6} {vc:>10}/{RUNS} {vd:>8}/{RUNS} {fd:>13}")
-        assert vd == 0  # diff is always safe
-    # Coarser pages -> fewer transfers (the reason to want them).
-    fetches = [fd for (_p, _vc, _vd, fd) in rows]
-    assert fetches[0] <= fetches[-1]
 
 
 def run(check: bool = True, quick: bool = False) -> dict:
@@ -85,7 +63,7 @@ def run(check: bool = True, quick: bool = False) -> dict:
 
     Contrasts clobber and diff reconciliation at page granularity
     (fewer seeds in quick mode) and sweeps the page count, reporting
-    violation rates and page-transfer totals.
+    violation rates and store-fetch totals.
     """
     import time
 
@@ -95,12 +73,9 @@ def run(check: bool = True, quick: bool = False) -> dict:
     t0 = time.perf_counter()
     v_clobber, f_clobber, _ = violation_count("clobber", 2, runs)
     v_diff, f_diff, _ = violation_count("diff", 2, runs)
-    diff_fetch_curve = [
-        violation_count("diff", pages, runs)[1] for pages in pages_sweep
-    ]
-    diff_viol_curve = [
-        violation_count("diff", pages, runs)[0] for pages in pages_sweep
-    ]
+    diff_curve = [violation_count("diff", pages, runs) for pages in pages_sweep]
+    diff_viol_curve = [v for v, _f, _r in diff_curve]
+    diff_fetch_curve = [f for _v, f, _r in diff_curve]
     sweep_seconds = time.perf_counter() - t0
 
     if check:

@@ -37,7 +37,6 @@ from repro.runtime.hierarchy import (
     LevelConfig,
     LevelStats,
 )
-from repro.runtime.paged_backer import PagedBackerMemory, PagedStats, modulo_pager
 from repro.runtime.memory_base import MemorySystem, SerialMemory
 from repro.runtime.replay import ReadDivergence, ReplayResult, replay
 from repro.runtime.timed import TimedExecution, simulate_timed
@@ -66,9 +65,6 @@ __all__ = [
     "LevelConfig",
     "LevelStats",
     "HIERARCHY_PRESETS",
-    "PagedBackerMemory",
-    "PagedStats",
-    "modulo_pager",
     "replay",
     "ReplayResult",
     "ReadDivergence",

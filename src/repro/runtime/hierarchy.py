@@ -18,9 +18,9 @@ backing store.  The BACKER discipline generalizes level-wise:
   missed level with the containing line (only locations not already
   cached are filled, so dirty data is never overwritten);
 * **reconcile** — dirty locations are pushed down level by level into
-  the backing store (location-granular dirty sets: no clobbering, so
-  arbitrary line sizes stay safe — the diff discipline of
-  :mod:`repro.runtime.paged_backer` without materialized twins);
+  the backing store.  Dirty sets are location-granular (diff
+  reconciliation without materialized twins), so disjoint writers to
+  one line merge instead of clobbering and any line size stays safe;
 * **flush** — reconcile, then evict every level of the stack;
 * **capacity eviction** — inserting into a full level evicts the LRU
   line, pushing its dirty locations down one level (possibly cascading).
@@ -59,6 +59,13 @@ Perfetto tracks next to the request-flow arrows.
 Fault injection drops reconcile or flush writebacks at a chosen level
 (dirty data marked clean but never propagated), producing executions the
 post-mortem verifier must reject — the paper's motivating use case.
+
+The real BACKER moved pages: a one-level shape with ``line_size =
+page`` is page-granular BACKER, and its hazard is a fault too.  A
+**clobbered** reconcile (``clobber_probability``) writes back *all*
+cached words, stale ones included, of each fault-level line holding
+dirty data, so concurrent disjoint updates to one page are lost (false
+sharing the verifier rejects).  At unit lines it is harmless.
 """
 
 from __future__ import annotations
@@ -87,6 +94,12 @@ TRACK_EVENT_LIMIT = 128
 span tracks; counters always see everything."""
 
 
+def _check_count(value: object, what: str) -> None:
+    """Reject anything but an ``int >= 1`` (``bool`` included)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be an int >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LevelConfig:
     """Shape of one cache level.
@@ -101,12 +114,10 @@ class LevelConfig:
     latency: int = 1
 
     def __post_init__(self) -> None:
-        if self.capacity is not None and self.capacity < 1:
-            raise ValueError("capacity must be None or >= 1 lines")
-        if self.line_size < 1:
-            raise ValueError("line_size must be >= 1 locations")
-        if self.latency < 1:
-            raise ValueError("latency must be >= 1 cycle")
+        if self.capacity is not None:
+            _check_count(self.capacity, "capacity (lines, or None)")
+        _check_count(self.line_size, "line_size (locations)")
+        _check_count(self.latency, "latency (cycles)")
 
     def to_dict(self) -> dict:
         return {
@@ -117,6 +128,8 @@ class LevelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LevelConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a level config must be an object, got {doc!r}")
         unknown = set(doc) - {"capacity", "line_size", "latency"}
         if unknown:
             raise ValueError(f"unknown level config keys: {sorted(unknown)}")
@@ -134,8 +147,7 @@ class HierarchyConfig:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("a hierarchy needs at least one level")
-        if self.memory_latency < 1:
-            raise ValueError("memory_latency must be >= 1 cycle")
+        _check_count(self.memory_latency, "memory_latency (cycles)")
         object.__setattr__(self, "levels", tuple(self.levels))
 
     @property
@@ -152,6 +164,8 @@ class HierarchyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HierarchyConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("a hierarchy config must be a JSON object")
         unknown = set(doc) - {"name", "memory_latency", "levels"}
         if unknown:
             raise ValueError(f"unknown hierarchy config keys: {sorted(unknown)}")
@@ -307,6 +321,9 @@ class HierarchicalBackerMemory(MemorySystem):
         clean without propagating it, a dropped flush evicts a level
         without writing its dirty data back.  ``fault_level`` picks the
         1-based level the faults strike (default: the first level).
+    clobber_probability:
+        Rate of whole-line writebacks at ``fault_level`` (stale words
+        included) on reconciles, the ones flushes perform too.
     rng:
         Seed or ``random.Random`` for fault decisions.
     """
@@ -318,6 +335,7 @@ class HierarchicalBackerMemory(MemorySystem):
         config: HierarchyConfig | str | dict | None = None,
         drop_reconcile_probability: float = 0.0,
         drop_flush_probability: float = 0.0,
+        clobber_probability: float = 0.0,
         fault_level: int = 1,
         rng: random.Random | int | None = None,
     ) -> None:
@@ -332,12 +350,15 @@ class HierarchicalBackerMemory(MemorySystem):
             raise ValueError("drop_reconcile_probability must be in [0, 1]")
         if not (0.0 <= drop_flush_probability <= 1.0):
             raise ValueError("drop_flush_probability must be in [0, 1]")
+        if not (0.0 <= clobber_probability <= 1.0):
+            raise ValueError("clobber_probability must be in [0, 1]")
         if not (1 <= fault_level <= config.depth):
             raise ValueError(
                 f"fault_level must be in [1, {config.depth}] for this shape"
             )
         self.drop_reconcile_probability = drop_reconcile_probability
         self.drop_flush_probability = drop_flush_probability
+        self.clobber_probability = clobber_probability
         self.fault_level = fault_level
         self._rng = as_rng(rng)
         self._main: dict[Location, int] = {}
@@ -451,21 +472,34 @@ class HierarchicalBackerMemory(MemorySystem):
         severed at that level — its (and shallower levels') dirty data
         is marked clean but never reaches the store.  ``skip_level``
         models a level that ignored the command entirely: its dirty
-        data stays dirty in place (used by dropped flushes).
+        data stays dirty in place (used by dropped flushes).  A
+        clobber sends every word of a ``fault_level`` line down if the
+        line holds a dirty location, its own or one passing through.
         """
         self.stats.reconciles += 1
+        clobber_level = None
+        if self.clobber_probability > 0.0 and self._rng.random() < self.clobber_probability:
+            clobber_level = self.fault_level - 1
         outgoing: dict[Location, int | None] = {}
         for k in range(self.config.depth):
             if k == skip_level:
                 continue
             cache = self._stacks[proc][k]
-            for line in cache.values():
-                for loc in line.dirty:
-                    # A location dirty at several levels is freshest at
-                    # the shallowest one (writes land in L1).
-                    if loc not in outgoing:
-                        outgoing[loc] = line.data[loc]
-                line.dirty.clear()
+            if k == clobber_level:
+                for line in cache.values():
+                    if line.dirty or not outgoing.keys().isdisjoint(line.data):
+                        for loc, value in line.data.items():
+                            if loc not in outgoing:
+                                outgoing[loc] = value
+                    line.dirty.clear()
+            else:
+                for line in cache.values():
+                    for loc in line.dirty:
+                        # A location dirty at several levels is freshest
+                        # at the shallowest one (writes land in L1).
+                        if loc not in outgoing:
+                            outgoing[loc] = line.data[loc]
+                    line.dirty.clear()
             if drop_level == k:
                 outgoing = {}
                 continue
@@ -485,8 +519,11 @@ class HierarchicalBackerMemory(MemorySystem):
                             line.data[loc] = value
                             line.dirty.discard(loc)
         for loc, value in outgoing.items():
-            assert value is not None, "dirty locations always hold a write"
-            self._main[loc] = value
+            if value is not None:
+                self._main[loc] = value
+            else:  # only a clobber writes back ⊥, erasing the entry
+                assert clobber_level is not None, "dirty data holds a write"
+                self._main.pop(loc, None)
 
     def _flush_all(self, proc: int, *, drop_level: int | None = None) -> None:
         """Reconcile then evict the whole stack.
