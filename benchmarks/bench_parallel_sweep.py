@@ -46,7 +46,6 @@ from repro.runtime.parallel import (
     clear_sweep_caches,
     parallel_inclusion_matrix,
     parallel_lattice_battery,
-    parallel_thm23_counts,
 )
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel_sweep.json"
@@ -250,22 +249,6 @@ def test_parallel_sweep_speedup(benchmark, sweep_universe, witness_universe):
         f"engine with 4 workers only {speedup4:.2f}x vs the seed path "
         f"(needed 2x)"
     )
-
-
-def test_parallel_matches_serial_thm23(witness_universe):
-    """Theorem-23 counts are shard-order independent: jobs 1, 2, 4 agree."""
-    counts = {}
-    for jobs in (1, 2, 4):
-        clear_sweep_caches()
-        counts[jobs], _ = parallel_thm23_counts(
-            witness_universe,
-            probes=THM23_PROBES,
-            jobs=jobs,
-            parallel_threshold=0,
-        )
-    assert counts[1] == counts[2] == counts[4]
-    lc_in_nn, nn_minus_lc, stuck = counts[1]
-    assert nn_minus_lc > 0 and stuck == nn_minus_lc
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

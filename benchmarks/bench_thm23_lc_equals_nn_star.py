@@ -61,31 +61,6 @@ def test_thm23_nn_minus_lc_prunes_in_one_step(benchmark, witness_universe):
     assert stuck == total
 
 
-def test_thm23_parallel_counts_match_serial_loop(benchmark, witness_universe):
-    """The sharded Theorem-23 sweep sums to the serial loop's counts."""
-    from repro.runtime.parallel import clear_sweep_caches, parallel_thm23_counts
-
-    probes = (R("x"), NOP)
-    serial_lc = serial_total = serial_stuck = 0
-    for comp, phi in witness_universe.model_pairs(NN):
-        if LC.contains(comp, phi):
-            serial_lc += 1
-            continue
-        serial_total += 1
-        if augmentation_closed_at(NN, comp, phi, probes) is not None:
-            serial_stuck += 1
-
-    def parallel_run():
-        clear_sweep_caches()
-        counts, _stats = parallel_thm23_counts(
-            witness_universe, probes=probes, jobs=2
-        )
-        return counts
-
-    counts = benchmark.pedantic(parallel_run, rounds=1, iterations=1)
-    assert counts == (serial_lc, serial_total, serial_stuck)
-
-
 def test_thm23_fixpoint_equals_lc(benchmark):
     """Full Δ* computation, compared with LC pair-for-pair.
 

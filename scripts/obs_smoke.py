@@ -18,8 +18,10 @@ Four checks, all exercised by the ``obs-smoke`` CI job:
    at least N distinct pid tracks (a multi-worker sweep must not
    collapse onto one row).
 2. ``python scripts/obs_smoke.py uncached`` — the cache-propagation
-   invariant: a ``sweep_caching(False)`` sweep dispatched to a process
-   pool must report **zero** cache consultations from its workers (the
+   invariant: ``sweep_caching(False)`` sweeps dispatched to a process
+   pool — the inclusion matrix and the question battery (separation
+   edges, Theorem-12 constructibility, Theorem-23 probes) — must report
+   **zero** cache consultations from their workers (the
    flag travels inside each ``ShardSpec``; before the fix workers
    silently re-enabled caching, poisoning uncached baselines).
 3. ``python scripts/obs_smoke.py replay JOURNAL.jsonl [--expect-aborted]``
@@ -176,33 +178,53 @@ def check_trace(path: str, min_pids: int = 1) -> int:
 
 def check_uncached() -> int:
     from repro._caching import sweep_caching
-    from repro.models import LC, SC, Universe
-    from repro.runtime.parallel import parallel_inclusion_matrix
+    from repro.analysis.lattice import PAPER_EDGES
+    from repro.core.ops import N as NOP, R
+    from repro.models import LC, NN, SC, Universe
+    from repro.runtime.parallel import (
+        parallel_inclusion_matrix,
+        parallel_lattice_battery,
+    )
 
     universe = Universe(max_nodes=3, locations=("x",))
     with sweep_caching(False):
-        _, stats = parallel_inclusion_matrix(
+        _, inclusion = parallel_inclusion_matrix(
             (SC, LC), universe, jobs=2, parallel_threshold=0
         )
-    if not stats.mode.startswith("process-pool"):
-        print(
-            f"obs-smoke: expected a pool sweep, got mode {stats.mode!r}",
-            file=sys.stderr,
+        # The battery is the one kernel behind the generic augmentation
+        # path (Theorem-12 closure, Theorem-23 probes), so it must honour
+        # the flag in its workers too.
+        _, battery = parallel_lattice_battery(
+            universe,
+            edges=PAPER_EDGES,
+            constructibility=(NN, LC),
+            thm23_probes=(R("x"), NOP),
+            jobs=2,
+            parallel_threshold=0,
         )
-        return 1
-    flags = {s.cache_enabled for s in stats.shards}
-    consultations = stats.cache_consultations()
-    if flags != {False} or consultations != 0:
+    for stats in (inclusion, battery):
+        if not stats.mode.startswith("process-pool"):
+            print(
+                f"obs-smoke: expected a pool sweep for {stats.label!r}, "
+                f"got mode {stats.mode!r}",
+                file=sys.stderr,
+            )
+            return 1
+        flags = {s.cache_enabled for s in stats.shards}
+        consultations = stats.cache_consultations()
+        if flags != {False} or consultations != 0:
+            print(
+                f"obs-smoke: sweep_caching(False) leaked in {stats.label!r} "
+                f"— workers reported cache_enabled={flags}, "
+                f"{consultations} consultations",
+                file=sys.stderr,
+            )
+            return 1
         print(
-            "obs-smoke: sweep_caching(False) leaked — workers reported "
-            f"cache_enabled={flags}, {consultations} consultations",
-            file=sys.stderr,
+            f"obs-smoke: uncached invariant OK — {stats.label}: "
+            f"{stats.mode}, {len(stats.shards)} shards, "
+            "0 worker cache consultations"
         )
-        return 1
-    print(
-        f"obs-smoke: uncached invariant OK — {stats.mode}, "
-        f"{len(stats.shards)} shards, 0 worker cache consultations"
-    )
     return 0
 
 

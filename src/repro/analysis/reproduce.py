@@ -90,11 +90,12 @@ def _sec_lattice(
 
 def _sec_theorem23(universe: Universe, jobs: int | None = None) -> SectionResult:
     from repro.core.ops import N as NOP, R
-    from repro.runtime.parallel import parallel_thm23_counts
+    from repro.runtime.parallel import parallel_lattice_battery
 
-    (lc_in_nn, total, stuck), _stats = parallel_thm23_counts(
-        universe, probes=(R("x"), NOP), jobs=jobs
+    battery, _stats = parallel_lattice_battery(
+        universe, thm23_probes=(R("x"), NOP), jobs=jobs
     )
+    lc_in_nn, total, stuck = battery.thm23
     ok = total > 0 and stuck == total
     detail = (
         f"  NN ∖ LC pairs: {total}; pruned by one augmentation: {stuck}\n"

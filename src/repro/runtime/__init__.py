@@ -21,9 +21,6 @@ from repro.runtime.parallel import (
     make_shards,
     parallel_inclusion_matrix,
     parallel_lattice_battery,
-    parallel_nonconstructibility_witnesses,
-    parallel_separation_witnesses,
-    parallel_thm23_counts,
     run_shards,
     sweep_cache_info,
 )
@@ -84,7 +81,4 @@ __all__ = [
     "clear_sweep_caches",
     "sweep_cache_info",
     "parallel_inclusion_matrix",
-    "parallel_separation_witnesses",
-    "parallel_nonconstructibility_witnesses",
-    "parallel_thm23_counts",
 ]

@@ -19,12 +19,14 @@ the shared substrate:
   ``ProcessPoolExecutor`` with a serial fallback (``jobs=1``, the
   ``REPRO_JOBS`` environment variable, or universes too small to amortize
   pool startup);
-* fused sweep kernels — one enumeration pass evaluates *all* requested
-  models/edges instead of re-enumerating per question, which is where the
-  bulk of the single-core win comes from (membership verdicts and
-  augmentation extensions are shared across questions via the caches in
-  :mod:`repro.dag.enumerate`, :mod:`repro.core.computation` and
-  :mod:`repro.models.constructibility`);
+* two shard kernels, one per sweep shape — :func:`inclusion_kernel`, a
+  full-scan fold of membership verdicts into an inclusion matrix, and
+  :func:`lattice_battery_kernel`, one question battery answering every
+  first-witness search (separations, Theorem-12 nonconstructibility)
+  and count (Theorem 23) asked of a universe in a single enumeration
+  pass.  Membership verdicts and augmentation extensions are shared
+  across questions via the caches in :mod:`repro.dag.enumerate`,
+  :mod:`repro.core.computation` and :mod:`repro.models.constructibility`;
 * :class:`SweepStats` — per-shard timings and cache hit rates, surfaced
   by ``repro lattice --stats`` and the ``BENCH_parallel_sweep.json``
   benchmark, so speedups are measured rather than asserted.  Stats are a
@@ -101,9 +103,6 @@ __all__ = [
     "publish_cache_gauges",
     "sweep_cache_info",
     "parallel_inclusion_matrix",
-    "parallel_separation_witnesses",
-    "parallel_nonconstructibility_witnesses",
-    "parallel_thm23_counts",
     "parallel_lattice_battery",
     "LatticeBatteryResult",
 ]
@@ -111,9 +110,6 @@ __all__ = [
 PARALLEL_THRESHOLD = 512
 """Universes with fewer computations than this run serially: forking a
 pool costs more than the sweep itself."""
-
-MODEL_NAMES = ("SC", "LC", "CC", "NN", "NW", "WN", "WW")
-"""Names resolvable by the sweep kernels (the shipped model zoo)."""
 
 
 # ----------------------------------------------------------------------
@@ -179,21 +175,33 @@ def _send_heartbeat(
     elapsed: float,
     cache_base: tuple[int, int],
 ) -> None:
-    """Emit one heartbeat over whichever channel this process has."""
+    """Emit one shard-progress heartbeat (see :func:`_emit_heartbeat`)."""
+    hits, misses = _cache_totals_now()
+    _emit_heartbeat(
+        {
+            "pid": os.getpid(),
+            "n": shard.n,
+            "mask_lo": shard.mask_lo,
+            "mask_hi": shard.mask_hi,
+            "pairs_done": pairs_done,
+            "elapsed": round(elapsed, 6),
+            "cache_hits": max(0, hits - cache_base[0]),
+            "cache_misses": max(0, misses - cache_base[1]),
+        }
+    )
+
+
+def _emit_heartbeat(hb: dict) -> None:
+    """Deliver one heartbeat over whichever channel this process has.
+
+    A pool worker puts it on the parent's queue; the parent (serial
+    path, crash retries) hands it straight to the monitor; a process
+    with no channel drops it.  A sampled ambient trace context stamps
+    its ids on the beat first.  Sweep shards and the trace-checking
+    service (:mod:`repro.serve`) both send through here."""
     hb_state = _HB
     if hb_state is None:
         return
-    hits, misses = _cache_totals_now()
-    hb = {
-        "pid": os.getpid(),
-        "n": shard.n,
-        "mask_lo": shard.mask_lo,
-        "mask_hi": shard.mask_hi,
-        "pairs_done": pairs_done,
-        "elapsed": round(elapsed, 6),
-        "cache_hits": max(0, hits - cache_base[0]),
-        "cache_misses": max(0, misses - cache_base[1]),
-    }
     ctx = trace_context.current()
     if ctx is not None and ctx.sampled:
         hb["trace_id"] = ctx.trace_id
@@ -1006,14 +1014,9 @@ def run_shards(
             mode = "serial"
         else:
             workers = min(jobs, len(shards))
-            if monitor is not None:
-                outcomes, retried = _dispatch_pool_monitored(
-                    kernel, shards, workers, label, monitor
-                )
-            else:
-                outcomes, retried = _dispatch_pool(
-                    kernel, shards, workers, label
-                )
+            outcomes, retried = _dispatch_pool(
+                kernel, shards, workers, label, monitor
+            )
             mode = f"process-pool({workers})"
     finally:
         if monitor is not None:
@@ -1043,112 +1046,71 @@ def _dispatch_pool(
     shards: Sequence[ShardSpec],
     workers: int,
     label: str,
+    monitor: SweepMonitor | None,
 ) -> tuple[list[ShardOutcome], list[int]]:
     """Pool dispatch with crash recovery; returns (outcomes, retried idx).
 
-    Futures are collected in submission order, so ``outcomes`` preserves
-    the canonical shard order.  Kernel *exceptions* propagate (they would
-    fail serially too); only abrupt worker death — which poisons the
-    whole pool and surfaces as ``BrokenProcessPool`` on every unfinished
-    future — is converted into a serial retry of the affected shards.
+    Outcomes are stored by shard index, so they keep the canonical shard
+    order whatever order the futures complete in.  Kernel *exceptions*
+    propagate (they would fail serially too); only abrupt worker death —
+    which poisons the whole pool and surfaces as ``BrokenProcessPool`` on
+    every unfinished future — is converted into a serial retry of the
+    affected shards, in shard order.
+
+    With a ``monitor``, workers are initialized with a
+    ``multiprocessing`` queue (the ``initializer``/``initargs`` channel
+    works under both fork and spawn), and the parent wakes every half
+    heartbeat interval to drain heartbeats into the monitor and run the
+    stall check.  If the queue cannot be created the sweep runs
+    unmonitored rather than failing.  Unmonitored pools need no
+    initializer at all; only a profiling run pays for one (to arm each
+    worker's sampler).
     """
-    outcomes: list[ShardOutcome | None] = [None] * len(shards)
-    failed: list[int] = []
+    hb_queue = None
+    if monitor is not None:
+        try:
+            hb_queue = multiprocessing.get_context().Queue()
+        except (OSError, ValueError):
+            monitor = None
     pool_kwargs: dict[str, Any] = {}
     profile_spec = obs_profile.worker_spec()
-    if profile_spec is not None:
-        # Unmonitored pools normally need no initializer at all; only a
-        # profiling run pays for one (to arm each worker's sampler).
+    if hb_queue is not None or profile_spec is not None:
+        interval = monitor.interval if monitor is not None else heartbeat_interval()
         pool_kwargs = {
             "initializer": _init_pool_worker,
-            "initargs": (None, heartbeat_interval(), profile_spec),
+            "initargs": (hb_queue, interval, profile_spec),
         }
-    with ProcessPoolExecutor(max_workers=workers, **pool_kwargs) as pool:
-        futures = [pool.submit(kernel, shard) for shard in shards]
-        for i, future in enumerate(futures):
-            try:
-                outcomes[i] = future.result()
-            except BrokenProcessPool:
-                failed.append(i)
-    if failed:
-        obs.warning(
-            "process pool broke mid-sweep; retrying shards serially",
-            sweep=label,
-            shards=len(failed),
-            indices=failed[:16],
-        )
-        for i in failed:
-            outcomes[i] = kernel(shards[i])
-    return outcomes, failed  # type: ignore[return-value]
-
-
-def _drain_heartbeats(hb_queue: Any, monitor: SweepMonitor) -> None:
-    """Feed every queued worker heartbeat to the monitor (non-blocking)."""
-    while True:
-        try:
-            hb = hb_queue.get_nowait()
-        except queue_mod.Empty:
-            return
-        except (OSError, ValueError, EOFError):
-            # Queue torn down mid-drain (worker death); nothing to read.
-            return
-        if isinstance(hb, dict):
-            monitor.on_worker_heartbeat(hb)
-
-
-def _dispatch_pool_monitored(
-    kernel: Callable[[ShardSpec], ShardOutcome],
-    shards: Sequence[ShardSpec],
-    workers: int,
-    label: str,
-    monitor: SweepMonitor,
-) -> tuple[list[ShardOutcome], list[int]]:
-    """Pool dispatch with a live heartbeat channel and stall watchdog.
-
-    Same contract as :func:`_dispatch_pool` — canonical-order outcomes,
-    crash recovery via serial retry — but workers are initialized with a
-    ``multiprocessing`` queue (the ``initializer``/``initargs`` channel
-    works under both fork and spawn), and the parent alternates between
-    waiting on futures and draining heartbeats into the monitor, running
-    the stall check each cycle.  If the queue cannot be created the
-    sweep falls back to the unmonitored dispatch rather than failing.
-    """
-    try:
-        ctx = multiprocessing.get_context()
-        hb_queue = ctx.Queue()
-    except (OSError, ValueError):
-        return _dispatch_pool(kernel, shards, workers, label)
+    timeout = monitor.interval / 2 if monitor is not None else None
     outcomes: list[ShardOutcome | None] = [None] * len(shards)
     failed: list[int] = []
     try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_pool_worker,
-            initargs=(hb_queue, monitor.interval, obs_profile.worker_spec()),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, **pool_kwargs) as pool:
             futures = {pool.submit(kernel, s): i for i, s in enumerate(shards)}
             pending = set(futures)
             while pending:
                 done, pending = wait(
-                    pending,
-                    timeout=monitor.interval / 2,
-                    return_when=FIRST_COMPLETED,
+                    pending, timeout=timeout, return_when=FIRST_COMPLETED
                 )
-                _drain_heartbeats(hb_queue, monitor)
-                monitor.check_stalls()
+                if monitor is not None:
+                    _drain_heartbeats(hb_queue, monitor)
+                    monitor.check_stalls()
                 for future in done:
                     i = futures[future]
                     try:
                         outcomes[i] = future.result()
-                        monitor.on_shard_done(outcomes[i].meta)
                     except BrokenProcessPool:
                         failed.append(i)
-        _drain_heartbeats(hb_queue, monitor)
+                        continue
+                    if monitor is not None:
+                        monitor.on_shard_done(outcomes[i].meta)
+        if monitor is not None:
+            _drain_heartbeats(hb_queue, monitor)
     finally:
-        hb_queue.close()
-        # The feeder thread may still hold unjoined items from a dying
-        # worker; never let interpreter shutdown block on it.
-        hb_queue.cancel_join_thread()
+        if hb_queue is not None:
+            hb_queue.close()
+            # The feeder thread may still hold unjoined items from a
+            # dying worker; never let interpreter shutdown block on it.
+            hb_queue.cancel_join_thread()
     if failed:
         failed.sort()  # completion order is arbitrary; retries are not
         obs.warning(
@@ -1159,8 +1121,27 @@ def _dispatch_pool_monitored(
         )
         for i in failed:
             outcomes[i] = kernel(shards[i])
-            monitor.on_shard_done(outcomes[i].meta)
+            if monitor is not None:
+                monitor.on_shard_done(outcomes[i].meta)
     return outcomes, failed  # type: ignore[return-value]
+
+
+def _drain_heartbeats(hb_queue: Any, monitor: SweepMonitor | None) -> None:
+    """Feed every queued worker heartbeat to ``monitor`` (non-blocking).
+
+    With no monitor the beats are discarded: the trace-checking service
+    keeps its queue open for the pool's lifetime, and an undrained queue
+    grows for as long as its owner lives."""
+    while True:
+        try:
+            hb = hb_queue.get_nowait()
+        except queue_mod.Empty:
+            return
+        except (OSError, ValueError, EOFError):
+            # Queue torn down mid-drain (worker death); nothing to read.
+            return
+        if monitor is not None and isinstance(hb, dict):
+            monitor.on_worker_heartbeat(hb)
 
 
 def _record_sweep(stats: SweepStats) -> None:
@@ -1343,102 +1324,21 @@ def inclusion_kernel(shard: ShardSpec, names: tuple[str, ...]) -> ShardOutcome:
     return _instrumented(body, shard)
 
 
-def witness_kernel(
-    shard: ShardSpec, edges: tuple[tuple[str, str], ...]
-) -> ShardOutcome:
-    """Per-shard first separation witness for each edge ``(a, b)``.
-
-    An edge asks for a pair in ``b`` but not in ``a``.  All edges share
-    one enumeration pass; membership is evaluated lazily per model and at
-    most once per pair.  The shard stops early once every edge is
-    witnessed locally.
-    """
-    from repro.models.base import cached_membership
-    from repro.models.relations import SeparationWitness
-
-    names = tuple(sorted({x for e in edges for x in e}))
-    models = _resolve_models(names)
-
-    def body(shard: ShardSpec) -> tuple[dict, int, int]:
-        found: dict[tuple[str, str], SeparationWitness] = {}
-        pairs = evaluated = 0
-        for comp, phi, weight in shard.iter_pairs():
-            pairs += weight
-            evaluated += 1
-            verdicts: dict[str, bool] = {}
-
-            def member(name: str) -> bool:
-                if name not in verdicts:
-                    verdicts[name] = cached_membership(
-                        models[name], comp, phi
-                    )
-                return verdicts[name]
-
-            for a, b in edges:
-                if (a, b) in found:
-                    continue
-                if member(b) and not member(a):
-                    found[(a, b)] = SeparationWitness(comp, phi, b, a)
-            if len(found) == len(edges):
-                break
-        return found, pairs, evaluated
-
-    return _instrumented(body, shard)
-
-
-def nonconstructibility_kernel(
-    shard: ShardSpec, names: tuple[str, ...]
-) -> ShardOutcome:
-    """Per-shard first Theorem-12 failure for each named model.
-
-    Fuses what was previously one full universe sweep *per model* into a
-    single pass.  Models with a closed-form Theorem-12 hook answer from
-    it; the others share the model-independent augmentation extensions
-    through the ``extension_pairs`` cache.
-    """
-    from repro.models.base import cached_membership
-    from repro.models.constructibility import (
-        NonconstructibilityWitness,
-        augmentation_closed_at,
-    )
-
-    models = _resolve_models(names)
-
-    def body(shard: ShardSpec) -> tuple[dict, int, int]:
-        alphabet = shard.universe().alphabet
-        found: dict[str, NonconstructibilityWitness] = {}
-        pairs = evaluated = 0
-        for comp, phi, weight in shard.iter_pairs():
-            pairs += weight
-            evaluated += 1
-            for name, model in models.items():
-                if name in found or not cached_membership(model, comp, phi):
-                    continue
-                bad = augmentation_closed_at(model, comp, phi, alphabet)
-                if bad is not None:
-                    found[name] = NonconstructibilityWitness(comp, phi, bad)
-            if len(found) == len(names):
-                break
-        return found, pairs, evaluated
-
-    return _instrumented(body, shard)
-
-
 def lattice_battery_kernel(
     shard: ShardSpec,
     edges: tuple[tuple[str, str], ...],
     constructibility: tuple[str, ...],
     thm23_probes: tuple | None,
 ) -> ShardOutcome:
-    """One enumeration pass answering the whole Figure-1/Theorem-23 battery.
+    """One enumeration pass answering every first-witness and count question.
 
-    Fuses the separation-witness, nonconstructibility and Theorem-23
-    sweeps over a single shard scan: each pair's membership verdicts are
-    computed lazily at most once and shared by every question, and the
-    closure tests of models without a closed-form Theorem-12 hook share
-    the model-independent augmentation extensions.  This locality is
-    what the per-question sweeps of the seed code structurally could
-    not exploit.
+    The questions are separation witnesses for ``edges``, Theorem-12
+    nonconstructibility witnesses for the ``constructibility`` models,
+    and Theorem-23 counts when ``thm23_probes`` is given; any subset may
+    be asked.  Each pair's membership verdicts are computed lazily at
+    most once and shared by every question, and the closure tests of
+    models without a closed-form Theorem-12 hook share the
+    model-independent augmentation extensions.
     """
     from repro.models.base import cached_membership
     from repro.models.constructibility import (
@@ -1453,10 +1353,10 @@ def lattice_battery_kernel(
         | ({"NN", "LC"} if thm23_probes is not None else set())
     )
     models = _resolve_models(names)
-    # Constructibility (a ``None`` verdict) and Theorem-23 counts need the
-    # full scan; a shard may only stop early when every question it was
-    # asked is a first-witness search and all are locally answered.
-    may_break = not constructibility and thm23_probes is None
+    # Theorem-23 counts need the full scan; without them a shard stops
+    # as soon as every first-witness question has its local answer (a
+    # model that never fails Theorem 12 keeps the scan going to the end).
+    may_break = thm23_probes is None
 
     def body(shard: ShardSpec) -> tuple[dict, int, int]:
         alphabet = shard.universe().alphabet
@@ -1501,7 +1401,11 @@ def lattice_battery_kernel(
                     found_nc[name] = NonconstructibilityWitness(
                         comp, phi, bad
                     )
-            if may_break and len(found_w) == len(edges):
+            if (
+                may_break
+                and len(found_w) == len(edges)
+                and len(found_nc) == len(constructibility)
+            ):
                 break
         payload = {
             "witnesses": found_w,
@@ -1509,31 +1413,6 @@ def lattice_battery_kernel(
             "thm23": (lc_in_nn, nn_minus_lc, stuck),
         }
         return payload, pairs, evaluated
-
-    return _instrumented(body, shard)
-
-
-def thm23_kernel(shard: ShardSpec, probes: tuple) -> ShardOutcome:
-    """Per-shard Theorem 23 counts: (LC∩NN pairs, NN∖LC pairs, pruned)."""
-    from repro.models import LC, NN
-    from repro.models.base import cached_membership
-    from repro.models.constructibility import augmentation_closed_at
-
-    def body(shard: ShardSpec) -> tuple[tuple[int, int, int], int, int]:
-        lc_in_nn = total = stuck = 0
-        pairs = evaluated = 0
-        for comp, phi, weight in shard.iter_pairs():
-            pairs += weight
-            evaluated += 1
-            if not cached_membership(NN, comp, phi):
-                continue
-            if cached_membership(LC, comp, phi):
-                lc_in_nn += weight
-                continue
-            total += weight
-            if augmentation_closed_at(NN, comp, phi, probes) is not None:
-                stuck += weight
-        return (lc_in_nn, total, stuck), pairs, evaluated
 
     return _instrumented(body, shard)
 
@@ -1587,61 +1466,6 @@ def parallel_inclusion_matrix(
     return included, stats
 
 
-def parallel_separation_witnesses(
-    edges: Sequence[tuple[str, str]],
-    universe: Universe,
-    jobs: int | None = None,
-    parallel_threshold: int | None = None,
-) -> tuple[dict[tuple[str, str], Any], SweepStats]:
-    """Sharded multi-edge witness search; first witness per edge.
-
-    Shards are merged in canonical order, so each edge's witness is the
-    first one the *serial* enumeration would have found (witness
-    minimality in node count is preserved).
-    """
-    edges = tuple(edges)
-    shards, jobs_eff = _plan(universe, jobs, parallel_threshold)
-    payloads, stats = run_shards(
-        partial(witness_kernel, edges=edges),
-        shards,
-        jobs=jobs_eff,
-        label="separation-witnesses",
-    )
-    with obs.span("merge", sweep="separation-witnesses"):
-        merged: dict[tuple[str, str], Any] = {edge: None for edge in edges}
-        for shard_found in payloads:  # payloads follow canonical shard order
-            for edge in edges:
-                if merged[edge] is None and edge in shard_found:
-                    merged[edge] = shard_found[edge]
-    return merged, stats
-
-
-def parallel_nonconstructibility_witnesses(
-    models: Sequence,
-    universe: Universe,
-    jobs: int | None = None,
-    parallel_threshold: int | None = None,
-) -> tuple[dict[str, Any], SweepStats]:
-    """Sharded Theorem-12 sweep for every model at once; first witness per
-    model in canonical order (``None`` = augmentation-closed on the
-    universe, i.e. consistent with constructibility)."""
-    names = _model_names(models)
-    shards, jobs_eff = _plan(universe, jobs, parallel_threshold)
-    payloads, stats = run_shards(
-        partial(nonconstructibility_kernel, names=names),
-        shards,
-        jobs=jobs_eff,
-        label="nonconstructibility",
-    )
-    with obs.span("merge", sweep="nonconstructibility"):
-        merged: dict[str, Any] = {name: None for name in names}
-        for shard_found in payloads:
-            for name in names:
-                if merged[name] is None and name in shard_found:
-                    merged[name] = shard_found[name]
-    return merged, stats
-
-
 @dataclass
 class LatticeBatteryResult:
     """Merged output of :func:`parallel_lattice_battery`.
@@ -1666,14 +1490,16 @@ def parallel_lattice_battery(
     jobs: int | None = None,
     parallel_threshold: int | None = None,
 ) -> tuple[LatticeBatteryResult, SweepStats]:
-    """The fused Figure-1/Theorem-23 battery over one universe.
+    """Every first-witness and count question over one universe.
 
     Answers every requested question — separation witnesses for
     ``edges``, Theorem-12 constructibility for ``constructibility``
     models, Theorem-23 counts when ``thm23_probes`` is given — in a
     single sharded enumeration pass.  Merging follows canonical shard
-    order, so first-witness results are bit-identical to the serial
-    per-question sweeps; counts merge by summation.
+    order, so each first witness is the one the serial enumeration
+    finds (:func:`repro.models.separating_witness`,
+    :func:`repro.models.find_nonconstructibility_witness`); counts merge
+    by summation.
     """
     edges = tuple(edges)
     nc_names = _model_names(constructibility)
@@ -1711,27 +1537,3 @@ def parallel_lattice_battery(
             stuck += c
         result.thm23 = (lc_in_nn, nn_minus_lc, stuck)
     return result, stats
-
-
-def parallel_thm23_counts(
-    universe: Universe,
-    probes: Sequence,
-    jobs: int | None = None,
-    parallel_threshold: int | None = None,
-) -> tuple[tuple[int, int, int], SweepStats]:
-    """Sharded Theorem-23 sweep: ``(lc_in_nn, nn_minus_lc, pruned)``.
-
-    Counts are merged by summation, which is order-independent.
-    """
-    shards, jobs_eff = _plan(universe, jobs, parallel_threshold)
-    payloads, stats = run_shards(
-        partial(thm23_kernel, probes=tuple(probes)),
-        shards,
-        jobs=jobs_eff,
-        label="thm23-counts",
-    )
-    with obs.span("merge", sweep="thm23-counts"):
-        lc_in_nn = sum(p[0] for p in payloads)
-        total = sum(p[1] for p in payloads)
-        stuck = sum(p[2] for p in payloads)
-    return (lc_in_nn, total, stuck), stats

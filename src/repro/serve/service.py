@@ -363,30 +363,14 @@ def _serve_heartbeat(items_done: int, elapsed: float) -> None:
     was installed by the pool initializer (silently optional)."""
     from repro.runtime import parallel
 
-    hb_state = parallel._HB
-    if hb_state is None:
-        return
-    hb = {
-        "pid": os.getpid(),
-        "serve": True,
-        "pairs_done": items_done,
-        "elapsed": round(elapsed, 6),
-    }
-    ctx = trace_context.current()
-    if ctx is not None and ctx.sampled:
-        hb["trace_id"] = ctx.trace_id
-        if ctx.span_id:
-            hb["span_id"] = ctx.span_id
-    hb_queue = hb_state.get("queue")
-    if hb_queue is not None:
-        try:
-            hb_queue.put_nowait(hb)
-        except Exception:
-            pass
-    else:
-        monitor = hb_state.get("monitor")
-        if monitor is not None:
-            monitor.on_worker_heartbeat(hb)
+    parallel._emit_heartbeat(
+        {
+            "pid": os.getpid(),
+            "serve": True,
+            "pairs_done": items_done,
+            "elapsed": round(elapsed, 6),
+        }
+    )
 
 
 _WORKER_ITEMS = 0
@@ -579,20 +563,6 @@ def _run_rules(comp: Any, trace: Any, options: CheckOptions) -> list[dict]:
     )
     report = run_analysis(ctx, rules)
     return [f.to_dict() for f in report.findings]
-
-
-def _discard_heartbeats(hb_queue: Any) -> None:
-    """Drain the worker heartbeat queue with no monitor installed —
-    an undrained queue grows for the lifetime of the service."""
-    import queue as queue_mod
-
-    while True:
-        try:
-            hb_queue.get_nowait()
-        except queue_mod.Empty:
-            return
-        except (OSError, ValueError, EOFError):
-            return
 
 
 # ----------------------------------------------------------------------
@@ -1100,11 +1070,9 @@ class TraceCheckService:
                     return_when=FIRST_COMPLETED,
                 )
                 if self._hb_queue is not None:
+                    _drain_heartbeats(self._hb_queue, monitor)
                     if monitor is not None:
-                        _drain_heartbeats(self._hb_queue, monitor)
                         monitor.check_stalls()
-                    else:
-                        _discard_heartbeats(self._hb_queue)
                 if obs.enabled():
                     obs.set_gauge("serve.inflight", len(pending))
                 for future in done:

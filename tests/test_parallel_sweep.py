@@ -27,6 +27,7 @@ from repro.errors import ConfigError
 from repro.models import (
     LC,
     NN,
+    NW,
     SC,
     WW,
     Universe,
@@ -43,9 +44,6 @@ from repro.runtime.parallel import (
     make_shards,
     parallel_inclusion_matrix,
     parallel_lattice_battery,
-    parallel_nonconstructibility_witnesses,
-    parallel_separation_witnesses,
-    parallel_thm23_counts,
     run_shards,
 )
 
@@ -208,9 +206,10 @@ def test_parallel_witnesses_match_serial_first_witness():
     }
     for jobs in (1, 2):
         clear_sweep_caches()
-        found, _stats = parallel_separation_witnesses(
-            edges, WITNESS, jobs=jobs, parallel_threshold=0
+        battery, _stats = parallel_lattice_battery(
+            WITNESS, edges=edges, jobs=jobs, parallel_threshold=0
         )
+        found = battery.witnesses
         for edge in edges:
             assert serial[edge] is not None, f"{edge} should separate at n<=4"
             assert found[edge] is not None
@@ -224,9 +223,10 @@ def test_parallel_nonconstructibility_matches_serial():
         m.name: find_nonconstructibility_witness(m, WITNESS) for m in models
     }
     clear_sweep_caches()
-    found, _stats = parallel_nonconstructibility_witnesses(
-        models, WITNESS, jobs=2, parallel_threshold=0
+    battery, _stats = parallel_lattice_battery(
+        WITNESS, constructibility=models, jobs=2, parallel_threshold=0
     )
+    found = battery.nonconstructibility
     for m in models:
         got, want = found[m.name], serial[m.name]
         if want is None:
@@ -235,6 +235,23 @@ def test_parallel_nonconstructibility_matches_serial():
             assert got is not None
             assert got.comp == want.comp
             assert got.phi == want.phi
+
+
+def test_battery_stops_once_every_witness_is_found():
+    """A shard asked only first-witness questions stops scanning once
+    each has its answer: NN and NW both fail Theorem 12 on n <= 4, so
+    the sweep checks fewer than the universe's 1,721 orbit pairs."""
+    models = (NN, NW)
+    serial = {
+        m.name: find_nonconstructibility_witness(m, WITNESS) for m in models
+    }
+    clear_sweep_caches()
+    battery, stats = parallel_lattice_battery(
+        WITNESS, constructibility=models, jobs=1
+    )
+    assert repr(battery.nonconstructibility) == repr(serial)
+    assert all(w is not None for w in serial.values())
+    assert stats.evaluated < 1721
 
 
 def test_parallel_thm23_counts_match_serial_loop():
@@ -249,10 +266,13 @@ def test_parallel_thm23_counts_match_serial_loop():
             stuck += 1
     for jobs in (1, 2):
         clear_sweep_caches()
-        counts, _stats = parallel_thm23_counts(
-            WITNESS, probes=probes, jobs=jobs, parallel_threshold=0
+        battery, _stats = parallel_lattice_battery(
+            WITNESS, thm23_probes=probes, jobs=jobs, parallel_threshold=0
         )
-        assert counts == (lc_in_nn, nn_minus_lc, stuck)
+        assert battery.thm23 == (lc_in_nn, nn_minus_lc, stuck)
+    # Theorem 23 at n <= 4: NN is strictly bigger than LC, and one
+    # augmentation step prunes every pair of the difference.
+    assert 0 < nn_minus_lc == stuck
 
 
 @pytest.mark.parametrize(
@@ -286,13 +306,11 @@ def test_cached_battery_matches_uncached_generic_path(universe, probes):
             thm23_probes=probes,
             jobs=1,
         )
-        counts, _ = parallel_thm23_counts(universe, probes=probes, jobs=1)
         return repr(
             (
                 battery.witnesses,
                 battery.nonconstructibility,
                 battery.thm23,
-                counts,
             )
         )
 
@@ -592,13 +610,11 @@ def monitored():
 
 class TestSweepMonitor:
     def test_serial_monitored_sweep_streams_events(self, monitored):
-        from repro.runtime.parallel import parallel_thm23_counts
-
         monitor, listener = monitored
         universe = Universe(max_nodes=3, locations=("x",))
         clear_sweep_caches()
-        counts, stats = parallel_thm23_counts(
-            universe, probes=(R("x"), NOP), jobs=1
+        _, stats = parallel_lattice_battery(
+            universe, thm23_probes=(R("x"), NOP), jobs=1
         )
         kinds = [e[0] for e in listener.events]
         assert kinds[0] == "start"
@@ -613,16 +629,13 @@ class TestSweepMonitor:
         assert any(hb["pairs_done"] == 0 for hb in first_beats)
 
     def test_pool_monitored_sweep_matches_unmonitored(self, monitored):
-        from repro.runtime.parallel import (
-            parallel_thm23_counts,
-            set_sweep_monitor,
-        )
+        from repro.runtime.parallel import set_sweep_monitor
 
         monitor, listener = monitored
         universe = Universe(max_nodes=3, locations=("x",))
         clear_sweep_caches()
-        counts, stats = parallel_thm23_counts(
-            universe, probes=(R("x"), NOP), jobs=2, parallel_threshold=0
+        battery, stats = parallel_lattice_battery(
+            universe, thm23_probes=(R("x"), NOP), jobs=2, parallel_threshold=0
         )
         assert stats.mode.startswith("process-pool")
         assert monitor.heartbeats > 0
@@ -634,10 +647,30 @@ class TestSweepMonitor:
         )
         set_sweep_monitor(None)
         clear_sweep_caches()
-        plain, _ = parallel_thm23_counts(
-            universe, probes=(R("x"), NOP), jobs=2, parallel_threshold=0
+        plain, _ = parallel_lattice_battery(
+            universe, thm23_probes=(R("x"), NOP), jobs=2, parallel_threshold=0
         )
-        assert counts == plain
+        assert battery.thm23 == plain.thm23
+
+    def test_pool_crash_retry_reports_each_shard_once(self, monitored):
+        """The monitored dispatch recovers from worker death like the
+        unmonitored one, and the serial retry reports every lost shard."""
+        monitor, listener = monitored
+        shards = make_shards(SWEEP, jobs=2)
+        serial_payloads, _ = run_shards(
+            _crashy_inclusion_kernel, shards, jobs=1, label="crash-test"
+        )
+        listener.events.clear()
+        payloads, stats = run_shards(
+            _crashy_inclusion_kernel, shards, jobs=2, label="crash-test"
+        )
+        assert payloads == serial_payloads
+        assert stats.mode.startswith("process-pool")
+        assert stats.retried_shards >= 1
+        dones = [e[1] for e in listener.events if e[0] == "done"]
+        assert sorted((d["n"], d["mask_lo"]) for d in dones) == [
+            (s.n, s.mask_lo) for s in shards
+        ]
 
     def test_no_monitor_means_no_heartbeat_channel(self):
         from repro.runtime import parallel as par

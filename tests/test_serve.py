@@ -71,6 +71,17 @@ def bad_trace_relabelled():
     return ExecutionTrace(comp, sched, "test", [ReadEvent(2, "x", 0)])
 
 
+def chain_trace(k):
+    """``k`` chained writes, then a read observing the last one; each
+    ``k`` is its own fingerprint."""
+    comp = Computation(
+        Dag(k + 1, [(u, u + 1) for u in range(k)]),
+        (W("x"),) * k + (R("x"),),
+    )
+    sched = Schedule(comp, (0,) * (k + 1), tuple(range(k + 1)), 1)
+    return ExecutionTrace(comp, sched, "test", [ReadEvent(k, "x", k - 1)])
+
+
 def lines_for(*traces):
     return [json.dumps(dump_trace(t)) for t in traces]
 
@@ -594,6 +605,33 @@ class TestService:
         }
         assert not twin.cached
         assert good.verdict["ok"] and good.verdict["admitted"]
+
+    def test_pool_heartbeats_reach_the_sweep_monitor(self):
+        """Serve workers heartbeat over the sweep engine's channel: with
+        a monitor installed, a pool batch delivers worker heartbeats."""
+        from repro.runtime.parallel import SweepMonitor, set_sweep_monitor
+
+        class Beats:
+            def __init__(self):
+                self.seen = []
+
+            def on_heartbeat(self, hb):
+                self.seen.append(hb)
+
+        beats = Beats()
+        set_sweep_monitor(SweepMonitor(listeners=[beats], interval=0.05))
+        try:
+            with TraceCheckService(jobs=2) as svc:
+                results = svc.check_batch(
+                    lines_for(*(chain_trace(k) for k in range(1, 9)))
+                )
+        finally:
+            set_sweep_monitor(None)
+        assert all(r.verdict["admitted"] for r in results)
+        me = os.getpid()
+        assert any(
+            hb.get("serve") is True and hb["pid"] != me for hb in beats.seen
+        )
 
     def test_zero_capacity_cache_disables_cross_batch_dedupe(self):
         with TraceCheckService(jobs=1, cache_size=0) as svc:
