@@ -16,96 +16,9 @@ Absolute numbers are simulator-specific; the monotone shapes are the
 reproduction target (see EXPERIMENTS.md).
 """
 
-import pytest
-
-from repro.dag.metrics import parallelism, span, work
-from repro.lang import fib_computation, stencil_computation
+from repro.dag.metrics import span, work
+from repro.lang import fib_computation
 from repro.runtime import BackerMemory, execute, greedy_schedule
-
-WORKLOADS = {
-    "fib(10)": fib_computation(10)[0],
-    "stencil-8x4": stencil_computation(8, 4)[0],
-}
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_backer_speedup_shape(benchmark, name):
-    comp = WORKLOADS[name]
-    t1, tinf = work(comp.dag), span(comp.dag)
-
-    def sweep():
-        rows = []
-        for procs in (1, 2, 4, 8, 16):
-            sched = greedy_schedule(comp, procs, rng=procs)
-            mem = BackerMemory()
-            execute(sched, mem)
-            rows.append(
-                (
-                    procs,
-                    sched.makespan,
-                    mem.stats.fetches,
-                    mem.stats.reconciles,
-                )
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1)
-    print()
-    print(
-        f"{name}: T1={t1} Tinf={tinf} parallelism={parallelism(comp.dag):.1f}"
-    )
-    print(f"{'P':>3} {'T_P':>6} {'speedup':>8} {'fetches':>8} {'reconciles':>10}")
-    prev_makespan = None
-    for procs, makespan, fetches, reconciles in rows:
-        print(
-            f"{procs:>3} {makespan:>6} {t1 / makespan:>8.2f} "
-            f"{fetches:>8} {reconciles:>10}"
-        )
-        # Work and span laws.
-        assert makespan >= max(tinf, -(-t1 // procs))
-        # Graham bound for greedy scheduling.
-        assert makespan <= t1 / procs + tinf
-        # Adding processors never slows the greedy schedule down much;
-        # we assert weak monotonicity within the Graham envelope rather
-        # than strict monotonicity (random tie-breaking wiggles).
-        if prev_makespan is not None:
-            assert makespan <= prev_makespan + tinf
-        prev_makespan = makespan
-    # Protocol traffic at P=1 involves no cross edges at all.
-    p1 = rows[0]
-    assert p1[3] == 0, "single processor must never reconcile"
-    # And with many processors there must be real coherence traffic.
-    p16 = rows[-1]
-    assert p16[3] > 0
-
-
-def test_protocol_traffic_tracks_cross_edges(benchmark):
-    comp = WORKLOADS["fib(10)"]
-
-    def measure():
-        out = []
-        for procs in (1, 2, 4, 8):
-            sched = greedy_schedule(comp, procs, rng=7)
-            cross = sum(
-                1
-                for (u, v) in comp.dag.edges
-                if sched.proc_of[u] != sched.proc_of[v]
-            )
-            mem = BackerMemory()
-            execute(sched, mem)
-            out.append((procs, cross, mem.stats.reconciles + mem.stats.flushes))
-        return out
-
-    rows = benchmark.pedantic(measure, rounds=1)
-    print()
-    print(f"{'P':>3} {'cross-edges':>12} {'protocol events':>16}")
-    for procs, cross, events in rows:
-        print(f"{procs:>3} {cross:>12} {events:>16}")
-        if cross == 0:
-            assert events == 0
-    # More processors -> more cross edges on this workload.
-    crosses = [c for _, c, _ in rows]
-    assert crosses[0] == 0 and crosses[-1] > 0
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

@@ -8,11 +8,9 @@ three orders of magnitude beyond the universes used for the theorems —
 the scale a practical post-mortem verifier must handle.
 """
 
-import pytest
-
 from repro.core import last_writer_function
 from repro.lang import fib_computation, stencil_computation
-from repro.models import LC, NN, WW
+from repro.models import LC
 from repro.runtime import BackerMemory, execute, work_stealing_schedule
 from repro.verify import trace_admits_lc
 
@@ -21,78 +19,6 @@ SIZES = {
     "fib(13)": fib_computation(13)[0],
     "stencil-16x8": stencil_computation(16, 8)[0],
 }
-
-
-@pytest.mark.parametrize("name", sorted(SIZES))
-def test_lc_membership_scaling(benchmark, name):
-    comp = SIZES[name]
-    phi = last_writer_function(comp, comp.dag.topological_order)
-    ok = benchmark(LC.contains, comp, phi)
-    print()
-    print(f"{name}: {comp.num_nodes} nodes, LC membership verified")
-    assert ok
-
-
-@pytest.mark.parametrize("name", sorted(SIZES))
-def test_nn_membership_scaling(benchmark, name):
-    comp = SIZES[name]
-    phi = last_writer_function(comp, comp.dag.topological_order)
-    ok = benchmark(NN.contains, comp, phi)
-    assert ok
-
-
-@pytest.mark.parametrize("name", sorted(SIZES))
-def test_ww_membership_scaling(benchmark, name):
-    comp = SIZES[name]
-    phi = last_writer_function(comp, comp.dag.topological_order)
-    ok = benchmark(WW.contains, comp, phi)
-    assert ok
-
-
-@pytest.mark.parametrize("name", sorted(SIZES))
-def test_trace_verification_scaling(benchmark, name):
-    comp = SIZES[name]
-    sched = work_stealing_schedule(comp, 8, rng=1)
-    trace = execute(sched, BackerMemory())
-    po = trace.partial_observer()
-    ok = benchmark(trace_admits_lc, po)
-    print()
-    print(
-        f"{name}: {comp.num_nodes} nodes, {po.num_constraints()} trace "
-        "constraints verified against LC"
-    )
-    assert ok
-
-
-def test_lc_trace_check_large_scale(benchmark):
-    """The trace verifier at post-mortem production scale: a ~3k-node
-    computation executed on 16 simulated processors."""
-    comp = fib_computation(15)[0]
-    sched = work_stealing_schedule(comp, 16, rng=2)
-    trace = execute(sched, BackerMemory())
-    po = trace.partial_observer()
-    ok = benchmark.pedantic(trace_admits_lc, args=(po,), rounds=1)
-    print()
-    print(
-        f"fib(15): {comp.num_nodes} nodes, {po.num_constraints()} "
-        "constraints verified"
-    )
-    assert ok
-
-
-def test_closure_large_scale(benchmark):
-    """Transitive closure (the cost floor of every checker) at ~3k nodes."""
-    comp = fib_computation(15)[0]
-
-    def closure():
-        # Force a fresh dag so the cached closure doesn't short-circuit.
-        from repro.dag import Dag
-
-        d = Dag(comp.num_nodes, comp.dag.edges)
-        return d.descendants_mask(0)
-
-    mask = benchmark.pedantic(closure, rounds=1)
-    assert mask  # the root reaches something
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

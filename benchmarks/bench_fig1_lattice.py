@@ -8,69 +8,11 @@ Regenerates every claim of the paper's Figure 1 on bounded universes:
 * the constructibility column via Theorem-12 augmentation sweeps
   (with the WN cell as the documented deviation — see EXPERIMENTS.md).
 
-The benchmark times the full battery; the assertions are the
-reproduction.
+``run`` times the full battery; its assertions are the reproduction.
 """
 
-from repro.analysis import compute_lattice, render_lattice_result
+from repro.analysis import compute_lattice
 from repro.models import NN, NW, SC, WN, WW, LC, inclusion_matrix
-
-
-def test_fig1_inclusion_matrix(benchmark, sweep_universe):
-    models = (SC, LC, NN, NW, WN, WW)
-    matrix = benchmark(inclusion_matrix, models, sweep_universe)
-    # The paper's order SC ⊆ LC ⊆ NN ⊆ {NW, WN} ⊆ WW:
-    for a, b in [
-        ("SC", "LC"),
-        ("LC", "NN"),
-        ("NN", "NW"),
-        ("NN", "WN"),
-        ("NW", "WW"),
-        ("WN", "WW"),
-    ]:
-        assert matrix[(a, b)], f"paper inclusion {a} ⊆ {b} failed"
-    # Non-inclusions already visible at n ≤ 3 with one location.  (The
-    # remaining separations — NW vs WN both ways, LC ⊄ SC, NN ⊄ LC —
-    # need 4 nodes or two locations; test_fig1_full_battery certifies
-    # them through the witness searches.)
-    for a, b in [("NW", "NN"), ("WN", "NN"), ("WN", "NW"),
-                 ("WW", "NW"), ("WW", "WN")]:
-        assert not matrix[(a, b)], f"unexpected inclusion {a} ⊆ {b}"
-
-
-def test_fig1_full_battery(benchmark, sweep_universe, witness_universe):
-    result = benchmark.pedantic(
-        compute_lattice,
-        args=(sweep_universe, witness_universe),
-        rounds=1,
-        iterations=1,
-    )
-    report = render_lattice_result(result)
-    print()
-    print(report)
-    assert result.matches_paper() == []
-
-
-def test_fig1_parallel_identical_to_serial(
-    benchmark, sweep_universe, witness_universe
-):
-    """The sharded engine's canonical-order merge reproduces the serial
-    battery bit-for-bit: same matrix, same witnesses pair-for-pair."""
-    from repro.runtime.parallel import clear_sweep_caches
-
-    clear_sweep_caches()
-    serial = compute_lattice(sweep_universe, witness_universe, jobs=1)
-
-    def parallel_run():
-        clear_sweep_caches()
-        return compute_lattice(sweep_universe, witness_universe, jobs=2)
-
-    parallel = benchmark.pedantic(parallel_run, rounds=1, iterations=1)
-    assert parallel.inclusions == serial.inclusions
-    assert parallel.strictness == serial.strictness
-    assert parallel.incomparability == serial.incomparability
-    assert parallel.constructibility == serial.constructibility
-    assert parallel.matches_paper() == []
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

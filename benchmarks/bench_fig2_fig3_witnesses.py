@@ -18,7 +18,6 @@ from repro.models import (
     IntersectionModel,
     separating_witness,
 )
-from repro.analysis import render_pair
 from repro.paperfigures import figure2_pair, figure3_pair
 
 
@@ -26,53 +25,6 @@ def profile(comp, phi):
     return {
         m.name: m.contains(comp, phi) for m in (NN, NW, WN, WW)
     }
-
-
-def test_fig2_profile(benchmark):
-    comp, phi = figure2_pair()
-    result = benchmark(profile, comp, phi)
-    print()
-    print("Figure 2 pair:")
-    print(render_pair(comp, phi))
-    print(f"  profile: {result}")
-    assert result == {"NN": False, "NW": True, "WN": False, "WW": True}
-
-
-def test_fig3_profile(benchmark):
-    comp, phi = figure3_pair()
-    result = benchmark(profile, comp, phi)
-    print()
-    print("Figure 3 pair:")
-    print(render_pair(comp, phi))
-    print(f"  profile: {result}")
-    assert result == {"NN": False, "NW": False, "WN": True, "WW": True}
-
-
-def test_fig2_rediscovered_by_search(benchmark, witness_universe):
-    """A pair in (WW ∩ NW) \\ WN exists at ≤ 4 nodes, found by search."""
-    both = IntersectionModel([WW, NW], "WW∩NW")
-    wit = benchmark.pedantic(
-        separating_witness, args=(WN, both, witness_universe), rounds=1
-    )
-    assert wit is not None
-    assert wit.comp.num_nodes <= 4
-    assert not NN.contains(wit.comp, wit.phi)  # NN strongest (Thm 21)
-    print()
-    print(f"rediscovered Figure-2-class witness ({wit.comp.num_nodes} nodes):")
-    print(render_pair(wit.comp, wit.phi))
-
-
-def test_fig3_rediscovered_by_search(benchmark, witness_universe):
-    both = IntersectionModel([WW, WN], "WW∩WN")
-    wit = benchmark.pedantic(
-        separating_witness, args=(NW, both, witness_universe), rounds=1
-    )
-    assert wit is not None
-    assert wit.comp.num_nodes <= 4
-    assert not NN.contains(wit.comp, wit.phi)
-    print()
-    print(f"rediscovered Figure-3-class witness ({wit.comp.num_nodes} nodes):")
-    print(render_pair(wit.comp, wit.phi))
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

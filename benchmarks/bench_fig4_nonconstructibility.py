@@ -2,86 +2,24 @@
 
 The paper's argument: a 4-node pair in NN such that, once a final node F
 (any non-write) is revealed, no observer value for F satisfies NN — the
-online algorithm is stuck.  We reproduce it three ways:
+online algorithm is stuck.  We reproduce it two ways:
 
 1. the fixed Figure 4 pair is in NN and blocked for o ∈ {R(x), N} but
    extendable for o = W(x) ("unless F writes the location");
-2. the universe search rediscovers a blocked pair from scratch (timed);
-3. by contrast, LC/SC/WW pass the same sweep untouched (Theorem 19 and
-   the WW column of Figure 1).
+2. the universe search rediscovers a blocked pair from scratch (timed).
+
+The contrast — SC, LC and WW pass the same sweep untouched (Theorem 19
+and the WW column of Figure 1) — is asserted in
+``tests/test_models_constructibility.py``.
 """
 
 from repro.core.ops import N as NOP, R, W
 from repro.models import (
-    LC,
     NN,
-    NW,
-    SC,
-    WW,
     can_extend_to_augmentation,
     find_nonconstructibility_witness,
 )
-from repro.analysis import render_pair
-from repro.paperfigures import figure4_blocking_ops, figure4_pair
-
-
-def test_fig4_fixed_pair(benchmark):
-    comp, phi = figure4_pair()
-    assert NN.contains(comp, phi)
-
-    def blocked_profile():
-        return {
-            repr(o): can_extend_to_augmentation(NN, comp, phi, o)
-            for o in [R("x"), NOP, W("x")]
-        }
-
-    result = benchmark(blocked_profile)
-    print()
-    print("Figure 4 pair (in NN):")
-    print(render_pair(comp, phi))
-    print(f"  extension possible by op: {result}")
-    assert result == {"R('x')": False, "N": False, "W('x')": True}
-    for o in figure4_blocking_ops():
-        assert not result[repr(o)]
-
-
-def test_fig4_rediscovered_by_search(benchmark, witness_universe):
-    wit = benchmark.pedantic(
-        find_nonconstructibility_witness,
-        args=(NN, witness_universe),
-        rounds=1,
-    )
-    assert wit is not None
-    assert wit.comp.num_nodes <= 4
-    print()
-    print(
-        f"rediscovered NN-stuck pair ({wit.comp.num_nodes} nodes, "
-        f"blocked by {wit.blocking_op!r}):"
-    )
-    print(render_pair(wit.comp, wit.phi))
-
-
-def test_nw_also_nonconstructible(benchmark, witness_universe):
-    """Figure 1's column: NW is not constructible either."""
-    wit = benchmark.pedantic(
-        find_nonconstructibility_witness, args=(NW, witness_universe), rounds=1
-    )
-    assert wit is not None
-    print()
-    print(f"NW stuck at {wit.comp.num_nodes} nodes on {wit.blocking_op!r}")
-
-
-def test_constructible_models_never_stuck(benchmark, sweep_universe):
-    """SC, LC and WW survive the same sweep with zero failures."""
-
-    def sweep():
-        return {
-            m.name: find_nonconstructibility_witness(m, sweep_universe)
-            for m in (SC, LC, WW)
-        }
-
-    result = benchmark.pedantic(sweep, rounds=1)
-    assert result == {"SC": None, "LC": None, "WW": None}
+from repro.paperfigures import figure4_pair
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

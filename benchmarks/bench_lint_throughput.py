@@ -95,19 +95,6 @@ def _check(reports):
         assert set(rep.rules_run) <= rule_ids
 
 
-def test_lint_throughput(benchmark):
-    with sweep_caching(False):
-        contexts = _contexts(QUICK_CORPUS)
-        seconds, reports = _sweep(contexts)
-        _check(reports)
-        benchmark.pedantic(
-            lambda: _sweep(contexts), rounds=3, iterations=1
-        )
-    findings = sum(len(r.findings) for r in reports)
-    assert findings > 0
-    assert seconds < 30.0
-
-
 def run(check: bool = True, quick: bool = False) -> dict:
     """Unified-runner entrypoint (``repro bench``, see registry.py).
 

@@ -28,8 +28,6 @@ stale-⊥ read, forbidden by everything except WN/WW (the stale-read
 anomaly those two models are criticized for).
 """
 
-import pytest
-
 from repro.lang import LITMUS_TESTS, litmus_outcome_allowed
 
 MODELS = ("SC", "LC", "NN", "NW", "WN", "WW")
@@ -43,39 +41,6 @@ EXPECTED = {
     "WRC": (False, True, True, True, True, True),
     "SB+sync": (False, False, False, False, True, True),
 }
-
-
-@pytest.mark.parametrize("test", LITMUS_TESTS, ids=lambda t: t.name)
-def test_litmus_row(benchmark, test):
-    def classify():
-        return tuple(litmus_outcome_allowed(test, m) for m in MODELS)
-
-    row = benchmark(classify)
-    print()
-    print(f"{test.name}: {test.description}")
-    print("  " + "  ".join(
-        f"{m}={'allowed' if v else 'forbidden'}" for m, v in zip(MODELS, row)
-    ))
-    assert row == EXPECTED[test.name]
-
-
-def test_full_table(benchmark):
-    def table():
-        return {
-            t.name: tuple(litmus_outcome_allowed(t, m) for m in MODELS)
-            for t in LITMUS_TESTS
-        }
-
-    result = benchmark.pedantic(table, rounds=1)
-    print()
-    header = f"{'test':8}" + "".join(f"{m:>6}" for m in MODELS)
-    print(header)
-    for name, row in result.items():
-        print(
-            f"{name:8}"
-            + "".join(f"{'yes' if v else 'no':>6}" for v in row)
-        )
-    assert result == EXPECTED
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

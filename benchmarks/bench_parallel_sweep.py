@@ -153,111 +153,12 @@ def _assert_identical(a, b, label):
     assert a["thm23"] == b["thm23"], f"{label}: Theorem-23 counts differ"
 
 
-def test_parallel_sweep_speedup(benchmark, sweep_universe, witness_universe):
-    # Baseline: seed path, caches off, measured cold.
-    with sweep_caching(False):
-        clear_sweep_caches()
-        t0 = time.perf_counter()
-        baseline = _seed_path_battery(sweep_universe, witness_universe)
-        baseline_seconds = time.perf_counter() - t0
-
-    # Engine, serial and 4 workers, each repetition from cold caches.
-    # Wall clock is the best of three: on a loaded machine the pool legs
-    # are noisy, and min-of-repeats is the standard noise-robust read.
-    runs = {}
-    for jobs in (1, 4):
-        seconds = []
-        for _ in range(3):
-            clear_sweep_caches()
-            t0 = time.perf_counter()
-            result, stats = _engine_battery(
-                sweep_universe, witness_universe, jobs
-            )
-            seconds.append(time.perf_counter() - t0)
-        runs[jobs] = {
-            "result": result,
-            "stats": stats,
-            "seconds": min(seconds),
-            "runs": seconds,
-        }
-
-    _assert_identical(baseline, runs[1]["result"], "engine jobs=1 vs baseline")
-    _assert_identical(runs[1]["result"], runs[4]["result"], "jobs=4 vs jobs=1")
-
-    # Uncached engine at 4 workers: sweep_caching(False) must propagate
-    # into the pool workers (carried by each ShardSpec), and the
-    # worker-side cache telemetry must prove the run was truly cold —
-    # zero cache consultations across every shard of every sweep.
-    with sweep_caching(False):
-        clear_sweep_caches()
-        t0 = time.perf_counter()
-        uncached_result, uncached_stats = _engine_battery(
-            sweep_universe, witness_universe, 4
-        )
-        uncached_seconds = time.perf_counter() - t0
-    for stats in uncached_stats:
-        consultations = stats.cache_consultations()
-        assert consultations == 0, (
-            f"{stats.label}: uncached sweep consulted memoization caches "
-            f"{consultations} times inside workers"
-        )
-    _assert_identical(baseline, uncached_result, "uncached jobs=4 vs baseline")
-
-    # The timed leg pytest-benchmark records: the engine at 4 workers.
-    def timed():
-        clear_sweep_caches()
-        return _engine_battery(sweep_universe, witness_universe, 4)
-
-    benchmark.pedantic(timed, rounds=1, iterations=1)
-
-    payload = {
-        "benchmark": "parallel_sweep",
-        "sweep_universe": repr(sweep_universe),
-        "witness_universe": repr(witness_universe),
-        "baseline_seconds": round(baseline_seconds, 4),
-        "engine": {
-            f"jobs{jobs}": {
-                "seconds": round(run["seconds"], 4),
-                "runs": [round(s, 4) for s in run["runs"]],
-                "speedup_vs_baseline": round(
-                    baseline_seconds / run["seconds"], 2
-                ),
-                "sweeps": [s.to_dict() for s in run["stats"]],
-            }
-            for jobs, run in runs.items()
-        },
-        "uncached_jobs4": {
-            "seconds": round(uncached_seconds, 4),
-            "cache_consultations": 0,
-            "sweeps": [s.to_dict() for s in uncached_stats],
-        },
-        "results_identical": True,
-        "thm23": list(runs[4]["result"]["thm23"]),
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-
-    speedup4 = baseline_seconds / runs[4]["seconds"]
-    print()
-    print(
-        f"baseline (seed path, uncached): {baseline_seconds:.3f}s; "
-        f"engine jobs=1: {runs[1]['seconds']:.3f}s "
-        f"({baseline_seconds / runs[1]['seconds']:.2f}x); "
-        f"engine jobs=4: {runs[4]['seconds']:.3f}s ({speedup4:.2f}x)"
-    )
-    print(f"wrote {BENCH_JSON.name}")
-    assert speedup4 >= 2.0, (
-        f"engine with 4 workers only {speedup4:.2f}x vs the seed path "
-        f"(needed 2x)"
-    )
-
-
 def run(check: bool = True, quick: bool = False) -> dict:
     """Unified-runner entrypoint (``repro bench``, see registry.py).
 
     Quick mode shrinks both universes one node and uses a 2-worker
-    pool; full mode mirrors :func:`test_parallel_sweep_speedup` —
-    baseline, engine at jobs 1 and 4 (min of 3), the uncached pool leg
-    — and refreshes ``BENCH_parallel_sweep.json`` with environment and
+    pool; full mode runs the baseline, the engine at jobs 1 and 4 (min
+    of 3) and the uncached pool leg, and refreshes ``BENCH_parallel_sweep.json`` with environment and
     git-sha metadata.
     """
     from repro.obs.ledger import env_metadata, git_sha

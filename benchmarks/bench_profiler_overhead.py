@@ -105,20 +105,6 @@ def _paired(docs, passes: int, hz: int):
     return base_total, prof_total, samples, profiler
 
 
-def test_profiler_overhead(benchmark):
-    docs = _parsed_corpus(quick=True)
-    passes = _calibrate_passes(docs, 0.3)
-    base_s, prof_s, samples, profiler = _paired(docs, passes, 199)
-    assert samples > 0, "SIGPROF sampler never fired under load"
-    doc = export_speedscope({0: profiler.folded()}, 199)
-    assert validate_speedscope(doc) == []
-
-    def once():
-        _workload_seconds(docs)
-
-    benchmark.pedantic(once, rounds=3, iterations=1)
-
-
 def run(check: bool = True, quick: bool = False) -> dict:
     """Unified-runner entrypoint (``repro bench``, see registry.py)."""
     docs = _parsed_corpus(quick)

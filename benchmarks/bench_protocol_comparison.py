@@ -25,8 +25,7 @@ control messages (reconciles/flushes for BACKER, invalidations for the
 directory) — see ``BackerStats.control_messages``.
 
 Registered in ``registry.py`` as ``protocol-comparison`` via
-:func:`run`; the pytest parametrizations below remain runnable directly
-with ``pytest benchmarks/bench_protocol_comparison.py``.
+:func:`run`.
 """
 
 from repro.lang import fib_computation, racy_counter_computation
@@ -52,60 +51,6 @@ def run_both(comp, procs, seed):
     d_msgs = dmem.stats.messages
     b_msgs = bmem.stats.messages
     return d_msgs, b_msgs, dmem.stats.invalidations
-
-
-def test_true_sharing_favors_lazy_lc(benchmark):
-    comp = racy_counter_computation(4, 3)[0]
-
-    def sweep():
-        return {p: run_both(comp, p, seed=1) for p in (2, 4, 8)}
-
-    rows = benchmark.pedantic(sweep, rounds=1)
-    print()
-    print("racy counter (true sharing): coherence messages")
-    print(f"{'P':>3} {'directory(SC)':>14} {'backer(LC)':>11} {'invalidations':>14}")
-    for p, (d, b, inv) in rows.items():
-        print(f"{p:>3} {d:>14} {b:>11} {inv:>14}")
-        assert b < d, (
-            "lazy LC must beat eager SC under contention — the paper's "
-            "motivating trade-off"
-        )
-
-
-def test_migratory_dataflow_shows_backer_flush_cost(benchmark):
-    comp = fib_computation(9)[0]
-
-    def sweep():
-        return {p: run_both(comp, p, seed=1) for p in (2, 4, 8)}
-
-    rows = benchmark.pedantic(sweep, rounds=1)
-    print()
-    print("fib(9) (migratory dataflow): coherence messages")
-    print(f"{'P':>3} {'directory(SC)':>14} {'backer(LC)':>11} {'invalidations':>14}")
-    for p, (d, b, inv) in rows.items():
-        print(f"{p:>3} {d:>14} {b:>11} {inv:>14}")
-        # Dataflow programs have (almost) no invalidation traffic: each
-        # location has a single writer whose value then migrates.
-        assert inv == 0
-    # The documented caveat: whole-cache flushing makes naive BACKER pay
-    # more here.  We assert the *phenomenon* is visible at P >= 4 so the
-    # bench honestly tracks it.
-    d4, b4, _ = rows[4]
-    assert b4 > 0 and d4 > 0
-
-
-def test_both_protocols_correct_across_seeds(benchmark):
-    comp = racy_counter_computation(3, 2)[0]
-
-    def sweep():
-        ok = 0
-        for seed in range(10):
-            run_both(comp, 4, seed)  # asserts inside
-            ok += 1
-        return ok
-
-    ok = benchmark.pedantic(sweep, rounds=1)
-    assert ok == 10
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

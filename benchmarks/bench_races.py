@@ -52,64 +52,6 @@ def _best_of(fn, repeats=3):
     return min(seconds)
 
 
-def test_spbags_vs_closure_scaling(benchmark):
-    rows = []
-    with sweep_caching(False):
-        for program, params, factory in WORKLOADS:
-            # Fresh unfolding per engine leg: reachability rows cache on
-            # the Dag instance and must not subsidize the closure legs.
-            comp_sp, info = factory()
-            spbags_s = _best_of(lambda: spbags_races(comp_sp, info.sp))
-
-            comp_rows, _ = factory()
-            rows_s = _best_of(lambda: list(find_races(comp_rows)))
-
-            comp_naive, _ = factory()
-            naive_s = _best_of(
-                lambda: list(find_races_naive(comp_naive)),
-                repeats=1 if comp_naive.num_nodes >= 1000 else 3,
-            )
-
-            # All three see the same racy locations (the detectors'
-            # agreement contract, restated on the benchmark workloads).
-            locs = {r.loc for r in spbags_races(comp_sp, info.sp)}
-            assert locs == {r.loc for r in find_races(comp_rows)}
-            assert locs == {r.loc for r in find_races_naive(comp_naive)}
-
-            rows.append(
-                {
-                    "program": program,
-                    "params": params,
-                    "nodes": comp_sp.num_nodes,
-                    "spbags_seconds": round(spbags_s, 6),
-                    "closure_rows_seconds": round(rows_s, 6),
-                    "closure_naive_seconds": round(naive_s, 6),
-                    "naive_over_spbags": round(naive_s / spbags_s, 2),
-                }
-            )
-
-    # Acceptance: ≥2,000-node computations analyze in <1s under SP-bags
-    # while the naive closure sweep is ≥10× slower.
-    big = [r for r in rows if r["nodes"] >= 2000]
-    assert big, "benchmark must include a ≥2,000-node workload"
-    for r in big:
-        assert r["spbags_seconds"] < 1.0, r
-        assert r["naive_over_spbags"] >= 10.0, r
-
-    # The leg pytest-benchmark records: SP-bags on the largest workload.
-    comp_big, info_big = WORKLOADS[-1][2]()
-    benchmark.pedantic(
-        lambda: spbags_races(comp_big, info_big.sp), rounds=3, iterations=1
-    )
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            {"benchmark": "races", "workloads": rows}, indent=2
-        )
-        + "\n"
-    )
-
-
 QUICK_WORKLOADS = WORKLOADS[:2] + [WORKLOADS[3], WORKLOADS[6]]
 
 

@@ -90,20 +90,6 @@ def _check(results, lines) -> None:
     assert cached == len(lines) - 7, "dedupe must collapse the corpus"
 
 
-def test_serve_throughput(benchmark):
-    lines = _corpus(quick=True)
-    with TraceCheckService(jobs=1, options=CheckOptions()) as svc:
-        seconds, results = _run_batches(svc, lines)
-        _check(results, lines)
-    assert seconds < 30.0
-
-    def fresh():
-        with TraceCheckService(jobs=1) as s:
-            _run_batches(s, lines)
-
-    benchmark.pedantic(fresh, rounds=3, iterations=1)
-
-
 def run(check: bool = True, quick: bool = False) -> dict:
     """Unified-runner entrypoint (``repro bench``, see registry.py).
 

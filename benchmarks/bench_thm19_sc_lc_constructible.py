@@ -20,48 +20,6 @@ from repro.models import (
 )
 
 
-def test_thm19_completeness(benchmark, sweep_universe):
-    comps = list(sweep_universe.computations())
-
-    def check():
-        return is_complete_on(SC, comps), is_complete_on(LC, comps)
-
-    gaps = benchmark.pedantic(check, rounds=1)
-    assert gaps == (None, None)
-    print()
-    print(f"completeness: {len(comps)} computations, all admit SC and LC observers")
-
-
-def test_thm19_monotonicity(benchmark, sweep_universe):
-    def check():
-        return is_monotonic_on(SC, sweep_universe), is_monotonic_on(
-            LC, sweep_universe
-        )
-
-    violations = benchmark.pedantic(check, rounds=1)
-    assert violations == (None, None)
-    print()
-    print("monotonicity: no relaxation ever evicts an SC or LC pair")
-
-
-def test_thm19_sc_constructible(benchmark, sweep_universe):
-    wit = benchmark.pedantic(
-        find_nonconstructibility_witness, args=(SC, sweep_universe), rounds=1
-    )
-    assert wit is None
-    print()
-    print("SC: closed under augmentation on the entire n≤3 universe")
-
-
-def test_thm19_lc_constructible(benchmark, sweep_universe):
-    wit = benchmark.pedantic(
-        find_nonconstructibility_witness, args=(LC, sweep_universe), rounds=1
-    )
-    assert wit is None
-    print()
-    print("LC: closed under augmentation on the entire n≤3 universe")
-
-
 def run(check: bool = True, quick: bool = False) -> dict:
     """Unified-runner entrypoint (``repro bench``, see registry.py).
 

@@ -18,116 +18,16 @@ The reproduced shapes:
   traffic terms (``m·C·T∞``) appear in the [BFJ+96a] bounds.
 * ``T_1`` is independent of ``m`` (a lone processor never communicates).
 
-Registered in ``registry.py`` as ``timed-backer`` via :func:`run`; the
-pytest parametrizations below remain runnable directly with
-``pytest benchmarks/bench_timed_backer.py``.
+Registered in ``registry.py`` as ``timed-backer`` via :func:`run`.
 """
 
-import pytest
-
-from repro.dag.metrics import parallelism, span, work
-from repro.lang import fib_computation, stencil_computation
+from repro.dag.metrics import span, work
+from repro.lang import fib_computation
 from repro.runtime import simulate_timed
 from repro.verify import trace_admits_lc
 
-WORKLOADS = {
-    "fib(10)": fib_computation(10)[0],
-    "stencil-8x4": stencil_computation(8, 4)[0],
-}
-
 PROCS = (1, 2, 4, 8)
 MISS_COSTS = (0, 2, 8)
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_timed_curves(benchmark, name):
-    comp = WORKLOADS[name]
-
-    def sweep():
-        table = {}
-        for m in MISS_COSTS:
-            row = []
-            for p in PROCS:
-                res = simulate_timed(comp, p, miss_cost=m, rng=p)
-                assert trace_admits_lc(res.partial_observer())
-                row.append(res.makespan)
-            table[m] = row
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1)
-    t1, tinf = work(comp.dag), span(comp.dag)
-    print()
-    print(
-        f"{name}: T1={t1} Tinf={tinf} parallelism={parallelism(comp.dag):.1f}"
-    )
-    print(f"{'m':>4} " + "".join(f"{f'T_{p}':>9}" for p in PROCS))
-    for m, row in table.items():
-        print(f"{m:>4} " + "".join(f"{v:>9.0f}" for v in row))
-
-    # Shape assertions.
-    # (1) m = 0: real speedup and the span law.
-    free = table[0]
-    assert free[0] == t1
-    assert free[-1] < free[0] / 2  # at least 2x on 8 processors
-    assert all(v >= tinf for v in free)
-    # (2) T_1 is m-independent.
-    for m in MISS_COSTS:
-        assert table[m][0] == t1
-    # (3) m monotonicity at every P.
-    for i_p in range(len(PROCS)):
-        col = [table[m][i_p] for m in MISS_COSTS]
-        assert col == sorted(col)
-
-
-def test_communication_bound_crossover(benchmark):
-    """At high miss cost the fine-grained workload loses its speedup —
-    the crossover that motivated coarse-grained evaluation in [BFJ+96b]."""
-    comp = WORKLOADS["fib(10)"]
-
-    def crossover():
-        cheap = simulate_timed(comp, 8, miss_cost=0, rng=8).makespan
-        expensive = simulate_timed(comp, 8, miss_cost=16, rng=8).makespan
-        serial = simulate_timed(comp, 1, miss_cost=16, rng=1).makespan
-        return cheap, expensive, serial
-
-    cheap, expensive, serial = benchmark.pedantic(crossover, rounds=1)
-    print()
-    print(
-        f"fib(10) on 8 procs: T(m=0)={cheap:.0f}, T(m=16)={expensive:.0f}, "
-        f"serial T1={serial:.0f}"
-    )
-    assert cheap < serial  # free communication: parallelism wins
-    assert expensive > serial  # costly communication: serial wins
-
-
-def test_timed_protocol_race(benchmark):
-    """BACKER vs the eager MSI directory with *time-priced* transfers.
-
-    The untimed protocol comparison counts messages; here the same race
-    is run through the event-driven simulator so each transfer costs
-    wall-clock time.  Under true sharing the lazy protocol's smaller
-    message count translates into a faster execution."""
-    from repro.lang import racy_counter_computation
-    from repro.runtime import DirectoryMemory
-
-    comp = racy_counter_computation(4, 3)[0]
-
-    def race():
-        rows = []
-        for m in (2, 8):
-            backer = simulate_timed(comp, 4, miss_cost=m, rng=1).makespan
-            directory = simulate_timed(
-                comp, 4, memory=DirectoryMemory(), miss_cost=m, rng=1
-            ).makespan
-            rows.append((m, backer, directory))
-        return rows
-
-    rows = benchmark.pedantic(race, rounds=1)
-    print()
-    print(f"{'m':>4} {'backer T_4':>11} {'directory T_4':>14}")
-    for m, b, d in rows:
-        print(f"{m:>4} {b:>11.0f} {d:>14.0f}")
-        assert b <= d, "lazy LC must win the timed race under contention"
 
 
 def run(check: bool = True, quick: bool = False) -> dict:

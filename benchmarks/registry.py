@@ -8,9 +8,11 @@ performance ledger exposes::
 The runner (:func:`repro.cli._cmd_bench`) times whole ``run`` calls
 (warmup + repeats) and stores the returned dict's numeric values as the
 ledger record's ``counters``.  ``check=True`` keeps the reproduction
-assertions on (a benchmark run doubles as a reproduction run, same as
-the pytest-benchmark path); ``quick=True`` shrinks problem sizes for CI
-smoke and must not write artifact files.
+assertions on (a benchmark run doubles as a reproduction run);
+``quick=True`` shrinks problem sizes for CI smoke and must not write
+artifact files.  Every ``bench_*.py`` module is named in
+:data:`MANIFEST`: a module nothing runs is caught by
+``tests/test_cli.py::TestBench::test_every_bench_module_is_registered``.
 
 The manifest is explicit rather than glob-discovered: importing a bench
 module is not free (some unfold thousand-node computations at import

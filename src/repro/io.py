@@ -28,7 +28,7 @@ exceptions.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction
@@ -49,6 +49,9 @@ __all__ = [
     "load_trace",
     "dumps",
     "loads",
+    "parse_json",
+    "document_loader",
+    "load_document",
 ]
 
 _FORMATS = {
@@ -257,13 +260,36 @@ def dumps(obj: Any, indent: int | None = 2) -> str:
     raise FormatError(f"cannot serialize {type(obj).__name__!r}")
 
 
+def parse_json(text: str) -> Any:
+    """``json.loads``, with nesting too deep for the parser (which raises
+    ``RecursionError``) reported as a :class:`FormatError`."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
+
+
+def document_loader(data: Any) -> Callable[[dict], Any]:
+    """The ``load_*`` function named by a document's format tag."""
+    if not isinstance(data, dict) or "format" not in data:
+        raise FormatError("not a repro document (missing format tag)")
+    fmt = data["format"]
+    loader = _LOADERS.get(fmt) if isinstance(fmt, str) else None
+    if loader is None:
+        raise FormatError(f"unknown format {fmt!r}")
+    return loader
+
+
+def load_document(data: Any) -> Any:
+    """Load a parsed document through the loader its format tag names."""
+    loader = document_loader(data)
+    try:
+        return loader(data)
+    except RecursionError:
+        raise FormatError("document nested too deeply") from None
+
+
 def loads(text: str) -> Any:
     """Deserialize a JSON string produced by :func:`dumps` (dispatches on
     the embedded format tag)."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or "format" not in data:
-        raise FormatError("not a repro document (missing format tag)")
-    loader = _LOADERS.get(data["format"])
-    if loader is None:
-        raise FormatError(f"unknown format {data['format']!r}")
-    return loader(data)
+    return load_document(parse_json(text))

@@ -53,12 +53,7 @@ from repro.models.relations import (
     shrink_witness,
 )
 from repro.models.sequential import SC, SequentialConsistency
-from repro.models.universe import (
-    Universe,
-    default_alphabet,
-    sample_computation,
-    sample_pair,
-)
+from repro.models.universe import Universe, default_alphabet
 
 __all__ = [
     "MemoryModel",
@@ -83,8 +78,6 @@ __all__ = [
     "ww_predicate",
     "Universe",
     "default_alphabet",
-    "sample_computation",
-    "sample_pair",
     "augmentation_extensions",
     "can_extend_to_augmentation",
     "augmentation_closed_at",

@@ -30,7 +30,7 @@ from repro.dag.enumerate import ordered_dags, ordered_orbits
 from repro.errors import UniverseError
 from repro.models.base import MemoryModel
 
-__all__ = ["Universe", "default_alphabet", "sample_computation", "sample_pair"]
+__all__ = ["Universe", "default_alphabet"]
 
 
 def default_alphabet(
@@ -191,49 +191,3 @@ class Universe:
             count_observer_functions(comp)
             for comp in self.computations_of_size(n)
         )
-
-
-def sample_computation(
-    rng, max_nodes: int, locations=("x",), include_nop: bool = True,
-    edge_probability: float = 0.4,
-):
-    """One random computation, uniform size in ``[0, max_nodes]``.
-
-    For statistical sweeps at sizes beyond exhaustive reach.  Uses a
-    G(n, p)-style dag (edges respect id order) and uniform op labels.
-    """
-    from repro.core.computation import Computation
-    from repro.dag.digraph import Dag
-
-    alphabet = default_alphabet(locations, include_nop)
-    n = rng.randint(0, max_nodes)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_probability
-    ]
-    ops = [rng.choice(alphabet) for _ in range(n)]
-    return Computation(Dag(n, edges), ops)
-
-
-def sample_pair(
-    rng, max_nodes: int, locations=("x",), include_nop: bool = True,
-    edge_probability: float = 0.4,
-):
-    """One random (computation, valid observer function) pair.
-
-    Observer values drawn uniformly from Definition 2's pointwise
-    candidates, so every sample is valid by construction.
-    """
-    from repro.core.observer import ObserverFunction, candidate_values
-
-    comp = sample_computation(
-        rng, max_nodes, locations, include_nop, edge_probability
-    )
-    mapping = {}
-    for loc in comp.locations:
-        mapping[loc] = tuple(
-            rng.choice(candidate_values(comp, loc, u)) for u in comp.nodes()
-        )
-    return comp, ObserverFunction(comp, mapping, validate=False)

@@ -4,8 +4,8 @@ The paper's central move is separating the *computation* (logical
 dependencies) from the *schedule* (which processor executes what, when).
 This module produces schedules; :mod:`repro.runtime.executor` runs them
 against a memory system.  Memory-model verdicts must be independent of
-the schedule — the ``bench_schedule_independence`` benchmark checks
-exactly that.
+the schedule — ``tests/test_integration_backer.py`` checks exactly
+that.
 
 Two schedulers are provided, both discrete-time with unit-work nodes:
 

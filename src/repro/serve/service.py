@@ -36,7 +36,6 @@ work.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -52,13 +51,8 @@ from repro.dag.canon import canonical_labelling
 from repro.errors import ReproError
 from repro.obs import context as trace_context
 from repro.obs.context import TraceContext
-from repro.io import (
-    FormatError,
-    load_computation,
-    load_observer,
-    load_partial_observer,
-    load_trace,
-)
+from repro import io as repro_io
+from repro.io import FormatError, document_loader, load_document, parse_json
 
 __all__ = [
     "KNOWN_CHECKS",
@@ -86,13 +80,9 @@ twins; the limit caps that worst case.  Past it the fingerprint is
 exact: only identical resubmissions dedupe, never a wrong merge.
 """
 
-_LOADERS = {
-    "repro/computation": load_computation,
-    "repro/observer": load_observer,
-    "repro/partial-observer": load_partial_observer,
-    "repro/trace": load_trace,
-}
-
+_LOADERS = repro_io._LOADERS
+"""The :mod:`repro.io` format table itself, not a copy: a patched entry
+(perfbench's ``serve.load`` layer patches them) reaches every load."""
 
 # ----------------------------------------------------------------------
 # Request options and parsing
@@ -160,7 +150,7 @@ def parse_request_ex(
     :class:`repro.io.FormatError` or ``ValueError`` on malformed input
     — per-item, so one bad line never poisons its batch.
     """
-    data = json.loads(line)
+    data = parse_json(line)
     if not isinstance(data, dict):
         raise FormatError("request line is not a JSON object")
     trace: str | None = None
@@ -172,10 +162,7 @@ def parse_request_ex(
             trace = raw_trace
     else:
         doc, options = data, defaults
-    if not isinstance(doc, dict) or "format" not in doc:
-        raise FormatError("not a repro document (missing format tag)")
-    if doc["format"] not in _LOADERS:
-        raise FormatError(f"unknown format {doc['format']!r}")
+    document_loader(doc)
     return doc, options, trace
 
 
@@ -185,10 +172,6 @@ def parse_request(
     """:func:`parse_request_ex` without the trace field (stable API)."""
     doc, options, _ = parse_request_ex(line, defaults)
     return doc, options
-
-
-def _load_document(doc: dict) -> Any:
-    return _LOADERS[doc["format"]](doc)
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +394,7 @@ def check_document(
     )
     with activation:
         try:
-            obj = _load_document(doc)
+            obj = load_document(doc)
             verdict = _check_object(obj, options)
         except (ReproError, ValueError, KeyError, TypeError, IndexError) as exc:
             verdict = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -687,10 +670,15 @@ class TraceCheckService:
         return self._pool
 
     def _teardown_pool(self) -> None:
+        from repro.runtime.parallel import _drain_heartbeats, get_sweep_monitor
+
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
         if self._hb_queue is not None:
+            # Beats still queued when the workers exited are delivered,
+            # not dropped with the queue.
+            _drain_heartbeats(self._hb_queue, get_sweep_monitor())
             self._hb_queue.close()
             self._hb_queue.cancel_join_thread()
             self._hb_queue = None
@@ -874,7 +862,7 @@ class TraceCheckService:
             # embeds ids in prose, so those items dedupe exactly.
             item.translatable = not (options.sanitize or options.rules)
             try:
-                obj = _load_document(doc)
+                obj = load_document(doc)
                 item.key, item.perm = request_fingerprint(obj, options)
             except (ReproError, ValueError, TypeError, KeyError) as exc:
                 finish(ItemResult(index, _error_verdict(exc)))
@@ -1088,6 +1076,9 @@ class TraceCheckService:
                         settle(item, _error_verdict(exc), cache=False)
                     else:
                         settle(item, verdict)
+            # The last items' beats may land after their results.
+            if self._hb_queue is not None:
+                _drain_heartbeats(self._hb_queue, monitor)
         except BrokenProcessPool:
             failed = [it for it in unique if it.key in waiting]
         if failed:

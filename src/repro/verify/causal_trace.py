@@ -20,11 +20,11 @@ observation edge is redundant (the write is already κ-before u), so κ
 is unchanged, and maximality satisfies the overwritten condition — the
 same argument that makes CC constructible.
 
-The companion experiment (`bench_causal.py`,
-``tests/test_causal_trace.py``): does the simulated BACKER maintain CC?
-Atomic whole-cache reconciles publish a processor's writes together, so
-the usual causality violations (MP) cannot arise from the protocol —
-the benchmark sweeps workloads and reports the verdict.
+The companion experiment (``tests/test_causal_trace.py``): does the
+simulated BACKER maintain CC?  Atomic whole-cache reconciles publish a
+processor's writes together, so the usual causality violations (MP)
+cannot arise from the protocol — the test sweeps random computations,
+processor counts and seeds and asserts the verdict.
 """
 
 from __future__ import annotations

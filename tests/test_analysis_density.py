@@ -1,7 +1,9 @@
 """Tests for the density (permissiveness) analysis."""
 
 from repro.analysis.density import measure_density, render_density
-from repro.models import LC, NN, SC, WW, Universe
+from repro.models import LC, NN, NW, SC, WN, WW, Universe
+
+FIGURE1 = [SC, LC, NN, NW, WN, WW]
 
 
 class TestDensity:
@@ -19,6 +21,14 @@ class TestDensity:
     def test_lattice_order(self):
         c = self.report.admitted
         assert c["SC"] <= c["LC"] <= c["NN"] <= c["WW"]
+        # The whole Figure 1 order, counted over every pair at n ≤ 3.
+        full = measure_density(FIGURE1, Universe(max_nodes=3, locations=("x",)))
+        c = full.admitted
+        assert c["SC"] <= c["LC"] <= c["NN"] <= c["NW"] <= c["WW"]
+        assert c["NN"] <= c["WN"] <= c["WW"]
+        assert c["SC"] == c["LC"]  # one location: SC = LC exactly
+        assert c["SC"] >= full.total_computations  # completeness
+        assert c["WW"] > c["SC"]  # the lattice is not degenerate
 
     def test_fraction(self):
         assert 0 < self.report.fraction("SC") <= 1.0
@@ -28,6 +38,14 @@ class TestDensity:
         assert self.report.widest_gap is not None
         comp, counts = self.report.widest_gap
         assert set(counts) == {"SC", "LC", "NN", "WW"}
+        # Serial computations admit the same counts in every model; the
+        # widest gap at n ≤ 3 needs all three nodes.
+        rw = measure_density(
+            FIGURE1, Universe(max_nodes=3, locations=("x",), include_nop=False)
+        )
+        comp, counts = rw.widest_gap
+        assert comp.num_nodes == 3
+        assert counts["WW"] > counts["SC"]
 
     def test_render(self):
         text = render_density(self.report)

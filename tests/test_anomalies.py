@@ -1,7 +1,7 @@
 """Tests for the anomaly catalog."""
 
 from repro.analysis import catalog_anomalies, render_catalog
-from repro.models import LC, NN, SC, WN, WW, Universe
+from repro.models import LC, NN, NW, SC, WN, WW, Universe
 
 RW4 = Universe(max_nodes=4, locations=("x",), include_nop=False)
 RW3 = Universe(max_nodes=3, locations=("x",), include_nop=False)
@@ -35,6 +35,23 @@ class TestCatalog:
         # The canonical figure pair is among them (up to identity ids).
         assert any(c == comp and p == phi for c, p in cat.witnesses)
 
+    def test_minimal_anomalies_per_strict_edge(self):
+        """Every strict single-location edge of Figure 1 separates at a
+        fixed minimal size with a fixed number of minimal witnesses."""
+        expected = {
+            (LC, NN): (4, 24),
+            (NN, NW): (3, 3),
+            (NN, WN): (2, 1),
+            (NW, WW): (2, 1),  # the stale-⊥ read: W → R(⊥)
+            (WN, WW): (3, 2),
+        }
+        for (stronger, weaker), (size, count) in expected.items():
+            cat = catalog_anomalies(stronger, weaker, RW4, max_witnesses=1000)
+            assert (cat.minimal_size, len(cat.witnesses)) == (size, count), (
+                stronger.name,
+                weaker.name,
+            )
+
     def test_no_separation_reports_cleanly(self):
         cat = catalog_anomalies(WW, WW, RW3)
         assert not cat.separated
@@ -58,6 +75,7 @@ class TestCatalog:
         )
         assert cat.separated
         assert cat.minimal_size == 2
+        assert len(cat.witnesses) == 4
         for comp, phi in cat.witnesses:
             assert len(comp.locations) == 2
             assert not comp.dag.num_edges  # the writes are concurrent

@@ -90,9 +90,16 @@ class TestAgreementWithModel:
         searched = find_completion(CC, partial, max_candidates=500_000)
         assert streamed == (searched is not None)
 
-    @given(computations(max_nodes=8), st.integers(1, 4), st.integers(0, 40))
+    @given(
+        computations(max_nodes=8),
+        st.integers(1, 4),
+        st.integers(0, 40),
+        st.sampled_from((0.0, 0.3)),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_simulated_backer_is_causally_consistent(self, comp, procs, seed):
+    def test_simulated_backer_is_causally_consistent(
+        self, comp, procs, seed, spontaneous
+    ):
         """Empirical finding: the *simulated* BACKER maintains CC as well
         as LC, because reconcile_all publishes a processor's dirty lines
         atomically — causality between a processor's own writes can never
@@ -100,8 +107,10 @@ class TestAgreementWithModel:
         fetches could break this.  A simulation-granularity artifact,
         documented in EXPERIMENTS.md.)"""
         sched = work_stealing_schedule(comp, procs, rng=seed)
-        trace = execute(sched, BackerMemory())
-        assert trace_admits_cc(trace)
+        memory = BackerMemory(
+            spontaneous_reconcile_probability=spontaneous, rng=seed
+        )
+        assert trace_admits_cc(execute(sched, memory))
 
     def test_accepts_trace_object_and_partial(self):
         comp = Computation(Dag(2, [(0, 1)]), (W("x"), R("x")))

@@ -200,6 +200,16 @@ class TestCleanErrors:
         assert rc == 2
         assert "repro check: error:" in err
 
+    @pytest.mark.parametrize("command", ["check", "lint"])
+    def test_deeply_nested_json(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        rc = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert f"repro {command}: error:" in err
+
     def test_missing_file_check(self, capsys, tmp_path):
         rc = main(["check", str(tmp_path / "nope.json")])
         err = capsys.readouterr().err
@@ -487,6 +497,32 @@ class TestBench:
         err = capsys.readouterr().err
         assert rc == 2
         assert "unknown benchmark" in err
+
+    def test_every_bench_module_is_registered(self):
+        """No ``bench_*.py`` runs nowhere: each is a registry entry with
+        a ``run`` entrypoint, and no module under ``benchmarks/`` carries
+        pytest tests (reproduction asserts live in ``run`` or tier-1)."""
+        import ast
+        from pathlib import Path
+
+        from repro.cli import _load_bench_registry
+
+        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+        registered = {s.module for s in _load_bench_registry(str(bench_dir)).MANIFEST}
+        for path in sorted(bench_dir.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            assert not [
+                node.name
+                for node in ast.walk(tree)
+                if (isinstance(node, ast.FunctionDef) and node.name.startswith("test_"))
+                or (isinstance(node, ast.ClassDef) and node.name.startswith("Test"))
+            ], path.name
+            if path.name.startswith("bench_"):
+                assert path.stem in registered, path.name
+                assert any(
+                    isinstance(node, ast.FunctionDef) and node.name == "run"
+                    for node in tree.body
+                ), path.name
 
 
 class TestLiveTelemetryFlags:

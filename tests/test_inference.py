@@ -44,7 +44,7 @@ class TestInference:
         assert not result.consistent["SC"]
         assert result.consistent["LC"]
         assert result.strongest_consistent() == "LC"
-        assert "SC" in result.eliminated_by
+        assert result.eliminated_by["SC"] <= 2  # SB kills SC almost at once
 
     def test_faulty_backer_eliminates_lc(self):
         comp = racy_counter_computation(4, 3)[0]

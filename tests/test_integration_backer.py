@@ -124,22 +124,32 @@ def test_no_false_positives_at_zero_drop():
         assert trace_admits_lc(trace.partial_observer())
 
 
+def _verdicts_and_reads_from(comp):
+    verdicts = set()
+    reads_from = set()
+    for procs in (1, 2, 4, 8):
+        for seed in range(3):
+            for schedule in (work_stealing_schedule, greedy_schedule):
+                trace = execute(schedule(comp, procs, rng=seed), BackerMemory())
+                verdicts.add(trace_admits_lc(trace.partial_observer()))
+                reads_from.add(
+                    frozenset((e.node, e.loc, e.observed) for e in trace.reads)
+                )
+    return verdicts, reads_from
+
+
 def test_schedule_independence_of_verdicts():
     """The paper's thesis: semantics attach to the computation, not the
     schedule.  A dataflow-correct program's reads-from relation — hence
     its verification verdict — is schedule-invariant under BACKER when
-    every read is dataflow-determined (single writer per location)."""
-    comp = tree_sum_computation(8)[0]
-    verdicts = set()
-    reads_from = set()
-    for procs in (1, 2, 4):
-        for seed in range(3):
-            sched = work_stealing_schedule(comp, procs, rng=seed)
-            trace = execute(sched, BackerMemory())
-            po = trace.partial_observer()
-            verdicts.add(trace_admits_lc(po))
-            reads_from.add(
-                frozenset((e.node, e.loc, e.observed) for e in trace.reads)
-            )
+    every read is dataflow-determined (single writer per location).  A
+    racy program's reads-from varies with the schedule, but its LC
+    verdict does not."""
+    verdicts, reads_from = _verdicts_and_reads_from(tree_sum_computation(16)[0])
     assert verdicts == {True}
     assert len(reads_from) == 1  # deterministic dataflow program
+    verdicts, reads_from = _verdicts_and_reads_from(
+        racy_counter_computation(4, 2)[0]
+    )
+    assert verdicts == {True}
+    assert len(reads_from) > 1  # the race is real; the guarantee holds

@@ -142,6 +142,12 @@ class TestStringDispatch:
     def test_loads_unknown_format(self):
         with pytest.raises(FormatError):
             loads('{"format": "repro/quux"}')
+        with pytest.raises(FormatError):
+            loads('{"format": ["repro/trace"]}')
+
+    def test_loads_deeply_nested(self):
+        with pytest.raises(FormatError, match="nested too deeply"):
+            loads("[" * 100_000 + "]" * 100_000)
 
     def test_loads_dispatches_computation(self):
         comp = Computation(Dag(1), (N,))

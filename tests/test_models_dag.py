@@ -1,6 +1,7 @@
 """Tests for the dag-consistency family (Definition 20)."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Computation, N, ObserverFunction, R, W
 from repro.dag import Dag
@@ -14,8 +15,13 @@ ALL_DAG_MODELS = (NN, NW, WN, WW)
 class TestFastMatchesReference:
     """The fiber-based checkers must agree with the literal Definition 20."""
 
-    @given(computations_with_observer(max_nodes=5))
-    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            computations_with_observer(max_nodes=5),
+            computations_with_observer(max_nodes=10),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
     def test_single_location(self, pair):
         comp, phi = pair
         for model in ALL_DAG_MODELS:

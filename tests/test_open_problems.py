@@ -9,16 +9,28 @@ from repro.models import LC, NN, NW, Universe
 
 
 class TestExploreNW:
-    def setup_method(self):
-        self.universe = Universe(max_nodes=4, locations=("x",), include_nop=False)
-        self.report = explore_star_vs_lc(NW, self.universe)
+    @classmethod
+    def setup_class(cls):
+        cls.report = explore_star_vs_lc(
+            NW, Universe(max_nodes=4, locations=("x",), include_nop=False)
+        )
 
     def test_lc_contained(self):
         assert not self.report.soundness_violations
 
     def test_strictness_candidates_found(self):
-        assert self.report.strictness_candidates
-        assert not self.report.star_equals_lc_on_fragment
+        """3-node pairs in NW* \\ LC exist at n ≤ 4 and survive the n ≤ 5
+        fixpoint's pruning too: bounded evidence that LC ⊊ NW* (§7's
+        open problem), not an artifact of a tiny bound."""
+        larger = explore_star_vs_lc(
+            NW, Universe(max_nodes=5, locations=("x",), include_nop=False)
+        )
+        for report in (self.report, larger):
+            assert not report.soundness_violations
+            assert report.strictness_candidates
+            assert not report.star_equals_lc_on_fragment
+            assert min(c.num_nodes for c, _ in report.strictness_candidates) == 3
+        assert larger.pruned_pairs > 0  # the persistence is not vacuous
 
     def test_candidates_are_nw_members_outside_lc(self):
         for comp, phi in self.report.strictness_candidates:

@@ -56,6 +56,30 @@ class TestCostModel:
             res = simulate_timed(comp, p, miss_cost=0, rng=0)
             assert res.makespan >= max(tinf, t1 / p)
 
+    def test_free_communication_speeds_up(self):
+        """m = 0: at least 2× on 8 processors, the work-stealing regime
+        of the Cilk bounds that [BFJ+96b]'s curves start from."""
+        from repro.lang import fib_computation, stencil_computation
+
+        for comp in (fib_computation(10)[0], stencil_computation(8, 4)[0]):
+            t1 = simulate_timed(comp, 1, miss_cost=0, rng=1).makespan
+            assert t1 == work(comp.dag)
+            assert simulate_timed(comp, 8, miss_cost=0, rng=8).makespan < t1 / 2
+
+    def test_lazy_protocol_never_loses_timed_race(self):
+        """BACKER against the eager MSI directory with time-priced
+        transfers: under true sharing lazy LC is never slower."""
+        from repro.lang import racy_counter_computation
+        from repro.runtime import DirectoryMemory
+
+        comp = racy_counter_computation(4, 3)[0]
+        for m in (2, 8):
+            backer = simulate_timed(comp, 4, miss_cost=m, rng=1).makespan
+            directory = simulate_timed(
+                comp, 4, memory=DirectoryMemory(), miss_cost=m, rng=1
+            ).makespan
+            assert backer <= directory, m
+
     def test_single_processor_pays_no_protocol(self):
         from repro.lang import fib_computation
 

@@ -511,12 +511,14 @@ class TestService:
         assert "write 0" in witness["reason"]
 
     def test_malformed_lines_fail_item_not_batch(self):
+        deep = "[" * 100_000 + "]" * 100_000
         with TraceCheckService(jobs=1) as svc:
             results = svc.check_batch(
-                ["{broken", json.dumps({"format": "nope"})]
+                ["{broken", json.dumps({"format": "nope"}), deep]
                 + lines_for(good_trace())
             )
-        assert [r.verdict["ok"] for r in results] == [False, False, True]
+        assert [r.verdict["ok"] for r in results] == [False, False, False, True]
+        assert "nested too deeply" in results[2].verdict["error"]
 
     def test_crashing_check_fails_item_not_batch(self, monkeypatch):
         """A check raising outside the caught input errors becomes that
@@ -606,9 +608,11 @@ class TestService:
         assert not twin.cached
         assert good.verdict["ok"] and good.verdict["admitted"]
 
-    def test_pool_heartbeats_reach_the_sweep_monitor(self):
-        """Serve workers heartbeat over the sweep engine's channel: with
-        a monitor installed, a pool batch delivers worker heartbeats."""
+    @staticmethod
+    def _monitored_batches(*batches):
+        """Run ``batches`` through one ``jobs=2`` service (closed at the
+        end) under a sweep monitor; return their results and the
+        heartbeats the monitor received."""
         from repro.runtime.parallel import SweepMonitor, set_sweep_monitor
 
         class Beats:
@@ -622,16 +626,29 @@ class TestService:
         set_sweep_monitor(SweepMonitor(listeners=[beats], interval=0.05))
         try:
             with TraceCheckService(jobs=2) as svc:
-                results = svc.check_batch(
-                    lines_for(*(chain_trace(k) for k in range(1, 9)))
-                )
+                results = [svc.check_batch(lines) for lines in batches]
         finally:
             set_sweep_monitor(None)
+        return results, beats.seen
+
+    def test_pool_heartbeats_reach_the_sweep_monitor(self):
+        """Serve workers heartbeat over the sweep engine's channel: with
+        a monitor installed, a pool batch delivers worker heartbeats."""
+        (results,), seen = self._monitored_batches(
+            lines_for(*(chain_trace(k) for k in range(1, 9)))
+        )
         assert all(r.verdict["admitted"] for r in results)
         me = os.getpid()
-        assert any(
-            hb.get("serve") is True and hb["pid"] != me for hb in beats.seen
+        assert any(hb.get("serve") is True and hb["pid"] != me for hb in seen)
+
+    def test_last_items_heartbeats_are_delivered_not_dropped(self):
+        """A batch's final beats may arrive after its results: they are
+        drained after the batch and again when the pool shuts down, so
+        two one-item batches deliver both items' heartbeats."""
+        _, seen = self._monitored_batches(
+            lines_for(chain_trace(2)), lines_for(chain_trace(3))
         )
+        assert len([hb for hb in seen if hb.get("serve") is True]) == 2
 
     def test_zero_capacity_cache_disables_cross_batch_dedupe(self):
         with TraceCheckService(jobs=1, cache_size=0) as svc:
