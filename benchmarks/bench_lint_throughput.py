@@ -1,7 +1,8 @@
 """Lint throughput: the multi-rule analysis engine over a program corpus.
 
-``repro lint`` runs every registered rule (race pass, FastTrack
-cross-check, deadlock analyzer, portability pass) per target; this
+``repro lint`` runs every registered rule (race pass, deadlock
+analyzer, portability pass; the trace-only LC sanitizer has no trace
+here) per target; this
 benchmark drives :func:`repro.analysis.run_analysis` over a generated
 corpus mixing clean fork/join programs, racy counters at growing task
 counts, lock-mediated counters, and ABBA deadlock fixtures, and reports

@@ -4,8 +4,8 @@ Two families live here: the empirical regeneration of the paper's
 Figure 1 lattice (PR 1), and the multi-rule static-analysis framework
 behind ``repro lint`` — the rule registry (:mod:`repro.analysis.registry`),
 the built-in rules (:mod:`repro.analysis.race_rules`, backed by
-:mod:`repro.analysis.fasttrack`, :mod:`repro.analysis.deadlock`,
-:mod:`repro.analysis.portability`), SARIF export
+:mod:`repro.analysis.deadlock` and :mod:`repro.analysis.portability`,
+with race detection from :mod:`repro.verify`), SARIF export
 (:mod:`repro.analysis.sarif`) and baseline suppression
 (:mod:`repro.analysis.baseline`).  Importing this package registers the
 built-in rules.
@@ -55,11 +55,6 @@ from repro.analysis.baseline import (
     write_baseline,
 )
 from repro.analysis.deadlock import LockCycle, LockEdge, lock_cycles, lock_graph
-from repro.analysis.fasttrack import (
-    chain_decomposition,
-    fasttrack_races,
-    fasttrack_trace_races,
-)
 from repro.analysis.portability import (
     PortabilityVerdict,
     check_portability,
@@ -126,9 +121,6 @@ __all__ = [
     "register_rule",
     "run_analysis",
     "select_rules",
-    "chain_decomposition",
-    "fasttrack_races",
-    "fasttrack_trace_races",
     "LockCycle",
     "LockEdge",
     "lock_cycles",

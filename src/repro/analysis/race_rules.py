@@ -2,15 +2,10 @@
 
 Registers the rule set of :mod:`repro.analysis.registry`:
 
-* ``RACE001`` — the PR 2 determinacy-race pass (SP-bags or the exact
-  closure sweep, lockset classification), re-homed here; data races
-  are errors, lock-mediated pairs notes.
-* ``RACE002`` — the FastTrack cross-check
-  (:mod:`repro.analysis.fasttrack`): runs the epoch/vector-clock
-  detector (over the recorded execution order when the target is a
-  trace) and fails loudly if its racy-location set ever disagrees with
-  the exact sweep — silent when the detectors agree, which the suite
-  property-tests they always do.
+* ``RACE001`` — the determinacy-race pass, lockset-classified; data
+  races are errors, lock-mediated pairs notes.  ``auto`` runs SP-bags
+  when the computation is series-parallel (recorded SP expression or
+  :func:`sp_decompose`) and the exact closure sweep otherwise.
 * ``LC001`` — trace consistency: replays a recorded execution through
   the :class:`~repro.verify.streaming.StreamingLCVerifier` in
   ``keep_going`` mode; every violating event is an error with its
@@ -40,7 +35,6 @@ from typing import Mapping, Sequence
 
 from repro import obs
 from repro.analysis.deadlock import lock_cycles
-from repro.analysis.fasttrack import fasttrack_races
 from repro.analysis.portability import check_portability
 from repro.analysis.registry import (
     AnalysisContext,
@@ -49,7 +43,7 @@ from repro.analysis.registry import (
 )
 from repro.core.computation import Computation
 from repro.dag.sp import SPNode, sp_decompose
-from repro.verify.races import find_races, racy_locations
+from repro.verify.races import find_races
 from repro.verify.spbags import (
     classify_races,
     node_locksets,
@@ -58,7 +52,7 @@ from repro.verify.spbags import (
 
 __all__ = ["Diagnostic", "LintReport", "lint_computation", "ENGINES"]
 
-ENGINES = ("auto", "sp-bags", "closure")
+ENGINES = ("auto", "closure")
 
 
 @dataclass(frozen=True)
@@ -167,20 +161,17 @@ def lint_computation(
     matching :class:`~repro.lang.cilk.UnfoldInfo` fields when the
     computation came from ``unfold``; all optional (paths fall back to
     node names, locks to the empty set, the SP expression to
-    :func:`sp_decompose`).
+    :func:`sp_decompose`).  ``engine`` is ``auto`` (SP-bags on a
+    series-parallel dag, else the closure sweep) or ``closure``; the
+    report names the one that ran, ``sp-bags`` or ``closure``.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown lint engine {engine!r} (choose from {ENGINES})"
         )
-    if engine in ("auto", "sp-bags") and sp is None:
+    if engine == "auto" and sp is None:
         sp = sp_decompose(comp.dag)
         if sp is None:
-            if engine == "sp-bags":
-                raise ValueError(
-                    "computation is not series-parallel; "
-                    "use engine='closure'"
-                )
             engine = "closure"
     with obs.span(
         "verify.lint", target=target, engine=engine, nodes=comp.num_nodes
@@ -267,53 +258,6 @@ def _rule_determinacy_races(ctx: AnalysisContext) -> list[Finding]:
                 paths=(d.u_path or "", d.v_path or ""),
                 kind=d.classification,
                 extra={"diagnostic": d.to_dict()},
-            )
-        )
-    return findings
-
-
-@register_rule(
-    "RACE002",
-    name="fasttrack-cross-check",
-    severity="error",
-    engines=("fasttrack",),
-    doc="FastTrack epoch/vector-clock detector cross-checked against "
-    "the exact closure sweep; flags any racy-location disagreement.",
-)
-def _rule_fasttrack(ctx: AnalysisContext) -> list[Finding]:
-    order = (
-        ctx.trace.schedule.execution_order()
-        if ctx.trace is not None
-        else None
-    )
-    ft = fasttrack_races(ctx.comp, order)
-    ft_locs = {repr(r.loc) for r in ft}
-    oracle = {repr(loc) for loc in racy_locations(ctx.comp)}
-    findings: list[Finding] = []
-    for loc in sorted(ft_locs - oracle):
-        findings.append(
-            Finding(
-                rule="RACE002",
-                severity="error",
-                message=(
-                    f"detector divergence at {loc}: FastTrack reports "
-                    "a race the exact closure sweep does not"
-                ),
-                loc=loc,
-                kind="detector-divergence",
-            )
-        )
-    for loc in sorted(oracle - ft_locs):
-        findings.append(
-            Finding(
-                rule="RACE002",
-                severity="error",
-                message=(
-                    f"detector divergence at {loc}: the exact closure "
-                    "sweep reports a race FastTrack misses"
-                ),
-                loc=loc,
-                kind="detector-divergence",
             )
         )
     return findings

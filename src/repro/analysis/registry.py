@@ -251,8 +251,8 @@ def _parse_selection(spec: str | Iterable[str] | None) -> list[str]:
 def _matches(rule_id: str, patterns: list[str]) -> bool:
     """``--select``/``--ignore`` matching: exact id or id prefix.
 
-    ``RACE`` selects ``RACE001`` and ``RACE002``; ``RACE001`` exactly
-    one rule.  Prefix matching mirrors ruff's rule-family selection.
+    ``RACE`` selects every ``RACE*`` rule; ``RACE001`` exactly one
+    rule.  Prefix matching mirrors ruff's rule-family selection.
     """
     return any(rule_id == p or rule_id.startswith(p) for p in patterns)
 

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--size", type=int, default=None,
                       help="program size parameter (bundled programs only)")
-    lint.add_argument("--engine", choices=["auto", "sp-bags", "closure"],
+    lint.add_argument("--engine", choices=["auto", "closure"],
                       default="auto",
                       help="race-pass engine — auto: SP-bags when "
                            "series-parallel, else the exact closure sweep")

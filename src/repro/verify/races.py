@@ -9,18 +9,21 @@ behaviour (tested as a property in the suite); with races, the models
 genuinely diverge.
 
 Cilk's dag-consistency line of work (the paper's origin story) paired
-the memory model with exactly this notion of race.  Two detectors live
-in :mod:`repro.verify`:
+the memory model with exactly this notion of race.  Two detectors and
+one oracle live in :mod:`repro.verify`:
 
-* this module — the *exact* transitive-closure sweep, enumerating every
-  racing pair from the dag's cached reachability bitsets.  It is the
-  oracle the on-the-fly detector is verified against, so it is itself
-  written on whole bitset rows (one pass to bucket accessors per
-  location, then pure mask arithmetic per writer) and memoized through
-  :mod:`repro._caching`;
 * :mod:`repro.verify.spbags` — the near-linear SP-bags detector
-  (Feng & Leiserson) for series-parallel computations, which needs no
-  closure at all.
+  (Feng & Leiserson), the fast path for series-parallel computations,
+  which needs no closure at all;
+* this module's closure sweep — :func:`find_races` enumerates every
+  racing pair of any dag from its cached reachability bitset rows (one
+  pass to bucket accessors per location, then pure mask arithmetic per
+  writer), memoized through :mod:`repro._caching`.  Location questions
+  (:func:`racy_locations`, :func:`is_race_free`) ask the same mask
+  test once per location and stop at its first racy writer, so they
+  never build a pair;
+* :func:`find_races_naive` — the historical per-pair sweep, kept as
+  the oracle both of the above are tested against.
 """
 
 from __future__ import annotations
@@ -69,17 +72,19 @@ def find_races(comp: Computation) -> Iterator[Race]:
     per-pair bookkeeping).  The enumeration order is identical to the
     historical per-pair sweep (:func:`find_races_naive`).
 
-    Memoized on the computation via :mod:`repro._caching` — the race
-    list is the oracle every on-the-fly analyzer is cross-checked
-    against, and lock-aware lint classifies the same pairs again.
+    Memoized on the computation via :mod:`repro._caching` — lock-aware
+    lint classifies the same pairs again.
     """
     if _caching.ENABLED:
         return iter(_find_races_cached(comp))
     return iter(_find_races_impl(comp))
 
 
-def _find_races_impl(comp: Computation) -> tuple[Race, ...]:
-    dag = comp.dag
+def _location_masks(
+    comp: Computation,
+) -> tuple[list[Location], list[tuple[int, int]]]:
+    """The written locations, in ``comp.locations`` order, and one
+    ``(access_mask, write_mask)`` bitset pair per location."""
     access_mask: dict[Location, int] = {}
     write_mask: dict[Location, int] = {}
     for u, op in enumerate(comp.ops):
@@ -90,15 +95,19 @@ def _find_races_impl(comp: Computation) -> tuple[Race, ...]:
         access_mask[loc] = access_mask.get(loc, 0) | bit
         if op.is_write:
             write_mask[loc] = write_mask.get(loc, 0) | bit
+    locs = [loc for loc in comp.locations if write_mask.get(loc, 0)]
+    return locs, [(access_mask[loc], write_mask[loc]) for loc in locs]
+
+
+def _find_races_impl(comp: Computation) -> tuple[Race, ...]:
     # The per-writer mask sweep is a kernel: it receives one
     # (access, write) mask pair per location plus the closure rows and
     # returns the racing triples in the historical order (a write-write
     # pair is emitted from its smaller id only — the kernel drops the
     # write partners below each writer, which dedupes without a
     # seen-set).
-    locs = [loc for loc in comp.locations if write_mask.get(loc, 0)]
-    loc_masks = [(access_mask[loc], write_mask[loc]) for loc in locs]
-    desc, anc = dag._closure()
+    locs, loc_masks = _location_masks(comp)
+    desc, anc = comp.dag._closure()
     races: list[Race] = []
     for li, w, other in kernels.race_pairs(comp.num_nodes, desc, anc, loc_masks):
         pair = (w, other) if w < other else (other, w)
@@ -118,11 +127,12 @@ _find_races_cached = lru_cache(maxsize=1 << 12)(_find_races_impl)
 
 
 def find_races_naive(comp: Computation) -> Iterator[Race]:
-    """The historical per-pair closure sweep, retained as a baseline.
+    """The historical per-pair closure sweep, retained as the oracle.
 
     Semantically identical to :func:`find_races` (the equivalence is
-    property-tested) but pays an ``O(n)`` accessor scan per location
-    and a seen-set membership test per candidate pair.  Benchmarks
+    property-tested, and the racy-location answers are pinned to it)
+    but pays an ``O(n)`` accessor scan per location and a seen-set
+    membership test per candidate pair.  Benchmarks
     (``benchmarks/bench_races.py``) use it as the honest "closure
     sweep" the SP-bags detector is measured against; it is not
     memoized on purpose.
@@ -153,12 +163,28 @@ def find_races_naive(comp: Computation) -> Iterator[Race]:
                 )
 
 
+def _racy_locations(comp: Computation) -> Iterator[Location]:
+    """Yield each racy location once, in ``comp.locations`` order.
+
+    A location is racy iff some writer ``w`` has an accessor outside
+    ``anc[w] | desc[w] | {w}`` — the :func:`kernels.race_pairs`
+    condition asked once per location, stopping at the first racy
+    writer instead of listing its partners.
+    """
+    locs, loc_masks = _location_masks(comp)
+    desc, anc = comp.dag._closure()
+    for loc, (amask, wmask) in zip(locs, loc_masks):
+        for w in bit_indices(wmask):
+            if amask & ~(anc[w] | desc[w] | (1 << w)):
+                yield loc
+                break
+
+
 def is_race_free(comp: Computation) -> bool:
     """True iff the computation has no determinacy race."""
-    return next(find_races(comp), None) is None
+    return next(_racy_locations(comp), None) is None
 
 
 def racy_locations(comp: Computation) -> list[Location]:
     """The sorted list of locations participating in at least one race."""
-    locs = {race.loc for race in find_races(comp)}
-    return sorted(locs, key=repr)
+    return sorted(_racy_locations(comp), key=repr)

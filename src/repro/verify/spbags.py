@@ -29,7 +29,9 @@ that location is reported iff the location is racy — so the *racy
 location sets* of SP-bags and the exact sweep coincide, and every pair
 SP-bags reports is a genuine race, but it does not enumerate all
 ``O(n^2)`` racing pairs.  Both facts are property-tested exhaustively
-against :func:`~repro.verify.races.find_races`.
+against :func:`~repro.verify.races.find_races`.  It is the fast path
+of the race pass: ``repro lint`` runs it whenever the dag is
+series-parallel and falls back to the closure sweep otherwise.
 
 The lockset extension (in the spirit of Cheng et al.'s ALL-SETS /
 BRELLY) classifies each determinacy race by the locks held on both

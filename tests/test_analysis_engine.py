@@ -47,7 +47,7 @@ from repro.runtime import (
     work_stealing_schedule,
 )
 
-EXPECTED_RULES = ("DL001", "LC001", "PORT001", "RACE001", "RACE002")
+EXPECTED_RULES = ("DL001", "LC001", "PORT001", "RACE001")
 
 
 def _ctx(factory, target="t", **kwargs):
@@ -96,10 +96,7 @@ class TestRegistry:
             get_rule("NOPE")
 
     def test_select_prefix_and_exact(self):
-        assert [r.id for r in select_rules("RACE")] == [
-            "RACE001",
-            "RACE002",
-        ]
+        assert [r.id for r in select_rules("RACE")] == ["RACE001"]
         assert [r.id for r in select_rules("RACE001,DL001")] == [
             "DL001",
             "RACE001",
@@ -290,19 +287,6 @@ class TestTraceRules:
         report = run_analysis(ctx, select_rules("LC001"))
         assert report.rules_run == ("LC001",)
         assert report.findings == []
-
-    def test_race002_silent_when_detectors_agree(self):
-        for factory in (
-            lambda: racy_counter_computation(4, 2),
-            lambda: tree_sum_computation(8),
-            store_buffer_computation,
-            deadlock_computation,
-        ):
-            report = run_analysis(_ctx(factory))
-            assert "RACE002" in report.rules_run
-            assert not [
-                f for f in report.findings if f.rule == "RACE002"
-            ]
 
 
 class TestSarif:

@@ -690,7 +690,7 @@ class TestLintMultiRule:
         rc = main(["lint", "--list-rules"])
         out = capsys.readouterr().out
         assert rc == 0
-        for rule in ("RACE001", "RACE002", "DL001", "PORT001", "LC001"):
+        for rule in ("RACE001", "DL001", "PORT001", "LC001"):
             assert rule in out
         assert "trace-only" in out
 

@@ -1,12 +1,22 @@
 """Tests for determinacy-race detection, and the race-freedom theorem."""
 
+import itertools
+import random
+
 from hypothesis import given, settings
 
-from repro.core import Computation, R, W
+from repro.core import Computation, N, R, W
 from repro.dag import Dag
+from repro.dag.sp import all_sp_trees, sp_to_dag
 from repro.lang import (
+    deadlock_computation,
+    fib_computation,
+    iriw_computation,
+    locked_counter_computation,
     matmul_computation,
     racy_counter_computation,
+    scan_computation,
+    stencil_computation,
     store_buffer_computation,
     tree_sum_computation,
 )
@@ -83,26 +93,65 @@ class TestFastEqualsNaive:
 
     Not just the same *set* — the same *sequence*: the rewrite dedupes
     write-write pairs by emitting from the smaller id only, which is
-    exactly the first-encounter order the old seen-set produced.
+    exactly the first-encounter order the old seen-set produced.  The
+    per-location mask test behind :func:`racy_locations` and
+    :func:`is_race_free` lists no pairs, so its answers are pinned to
+    the locations of the naive pairs.
     """
 
     @staticmethod
     def assert_same(comp):
-        fast = list(find_races(comp))
         naive = list(find_races_naive(comp))
-        assert fast == naive
+        assert list(find_races(comp)) == naive
+        locs = sorted({r.loc for r in naive}, key=repr)
+        assert racy_locations(comp) == locs
+        assert is_race_free(comp) == (not locs)
 
     @given(computations(max_nodes=6, locations=("x", "y")))
     @settings(max_examples=150, deadline=None)
     def test_random_computations(self, comp):
         self.assert_same(comp)
 
+    def test_exhaustive_sp_universes(self):
+        """Every SP shape × op labelling with ≤ 4 nodes (26k cases)."""
+        alphabet = (R("x"), W("x"), R("y"), W("y"), N)
+        checked = 0
+        for n in range(1, 5):
+            for tree in all_sp_trees(n):
+                dag, _ = sp_to_dag(tree)
+                for ops in itertools.product(alphabet, repeat=n):
+                    self.assert_same(Computation(dag, ops))
+                    checked += 1
+        assert checked >= 26000
+
+    def test_random_general_dags(self):
+        """100 random dags, most not series-parallel, three locations."""
+        alphabet = (R("x"), W("x"), R("y"), W("y"), N, R("z"), W("z"))
+        for seed in range(100):
+            rng = random.Random(1000 + seed)
+            n = rng.randint(2, 30)
+            edges = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.25
+            ]
+            ops = tuple(rng.choice(alphabet) for _ in range(n))
+            self.assert_same(Computation(Dag(n, edges), ops))
+
     def test_programs(self):
+        """Every bundled program, racy or not."""
         for comp in (
-            racy_counter_computation(4, 3)[0],
-            store_buffer_computation()[0],
+            fib_computation(6)[0],
             matmul_computation(2)[0],
+            scan_computation(8)[0],
+            stencil_computation()[0],
             tree_sum_computation(8)[0],
+            racy_counter_computation(4, 3)[0],
+            locked_counter_computation()[0],
+            deadlock_computation()[0],
+            store_buffer_computation()[0],
+            iriw_computation()[0],
         ):
             self.assert_same(comp)
 

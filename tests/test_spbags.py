@@ -23,6 +23,7 @@ from repro.dag.sp import (
     sp_to_dag,
 )
 from repro.lang import (
+    deadlock_computation,
     fib_computation,
     iriw_computation,
     locked_counter_computation,
@@ -51,6 +52,7 @@ ALL_PROGRAMS = (
     lambda: tree_sum_computation(8),
     lambda: racy_counter_computation(),
     lambda: locked_counter_computation(),
+    lambda: deadlock_computation(),
     lambda: store_buffer_computation(),
     lambda: iriw_computation(),
 )

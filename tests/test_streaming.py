@@ -28,7 +28,12 @@ from repro.runtime import (
     execute,
     work_stealing_schedule,
 )
-from repro.verify import StreamingLCVerifier, trace_admits_lc
+from repro.verify import (
+    StreamingLCVerifier,
+    racy_locations,
+    spbags_races,
+    trace_admits_lc,
+)
 from tests.conftest import computations
 
 
@@ -263,21 +268,41 @@ class TestFaultInjection:
 
 class TestAgreement:
     def test_fault_battery_matches_batch_checker(self):
-        """Same verdict as the batch checker on 180 traces."""
+        """Same verdict as the batch checker on 180 traces.
+
+        Halting and keep-going agree with it too: no violation
+        collected ⇔ LC, and the first collected violation is the
+        halting one.  A faithful memory (drop 0) trips nothing.  Per
+        workload, SP-bags and the closure sweep name the same racy
+        locations.
+        """
         workloads = [
-            racy_counter_computation(4, 3)[0],
-            stencil_computation(6, 3)[0],
+            racy_counter_computation(4, 3),
+            stencil_computation(6, 3),
         ]
         flagged = 0
-        for comp in workloads:
+        for comp, info in workloads:
+            assert {r.loc for r in spbags_races(comp, info.sp)} == set(
+                racy_locations(comp)
+            )
             for drop in (0.0, 0.5, 1.0):
                 for seed in range(30):
                     trace = _run(comp, drop, seed)
                     batch_ok = trace_admits_lc(trace.partial_observer())
                     v = StreamingLCVerifier.check_trace(trace)
+                    violations = StreamingLCVerifier.collect_violations(trace)
                     assert (v is None) == batch_ok
+                    assert (not violations) == batch_ok
                     if v is not None:
                         flagged += 1
+                        first = violations[0]
+                        assert (first.node, first.loc, first.event_index) == (
+                            v.node,
+                            v.loc,
+                            v.event_index,
+                        )
+                    if drop == 0.0:
+                        assert not violations
         assert flagged >= 40
 
     def test_halting_run_matches_post_mortem_event(self):
