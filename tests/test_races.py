@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.core import Computation, N, R, W
 from repro.dag import Dag
-from repro.dag.sp import all_sp_trees, sp_to_dag
+from repro.dag.sp import all_sp_trees, random_sp, sp_to_dag
 from repro.lang import (
     deadlock_computation,
     fib_computation,
@@ -139,7 +139,26 @@ class TestFastEqualsNaive:
             ops = tuple(rng.choice(alphabet) for _ in range(n))
             self.assert_same(Computation(Dag(n, edges), ops))
 
+    def test_random_sp_dags(self):
+        """200 random SP dags, up to 40 nodes, three locations."""
+        alphabet = (R("x"), W("x"), R("y"), W("y"), N, R("z"), W("z"))
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(2, 40)
+            dag, _ = sp_to_dag(random_sp(n, rng_seed=seed))
+            ops = tuple(rng.choice(alphabet) for _ in range(n))
+            self.assert_same(Computation(dag, ops))
+
     def test_programs(self):
+        for comp in (
+            racy_counter_computation(4, 3)[0],
+            store_buffer_computation()[0],
+            matmul_computation(2)[0],
+            tree_sum_computation(8)[0],
+        ):
+            self.assert_same(comp)
+
+    def test_unfolded_programs(self):
         """Every bundled program, racy or not."""
         for comp in (
             fib_computation(6)[0],

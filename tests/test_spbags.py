@@ -38,7 +38,9 @@ from repro.lang import (
 from repro.verify import (
     classify_races,
     find_races,
+    is_race_free,
     node_locksets,
+    racy_locations,
     spbags_races,
 )
 
@@ -99,6 +101,18 @@ class TestAgreement:
             comp, info = factory()
             assert info.sp is not None
             assert_agrees(comp, info.sp)
+
+    def test_three_detectors_same_locations(self):
+        """SP-bags, the closure sweep and the per-location mask test:
+        one racy-location set on every bundled program."""
+        for factory in ALL_PROGRAMS:
+            comp, info = factory()
+            exact = {repr(r.loc) for r in find_races(comp)}
+            assert {
+                repr(r.loc) for r in spbags_races(comp, info.sp)
+            } == exact
+            assert {repr(loc) for loc in racy_locations(comp)} == exact
+            assert is_race_free(comp) == (not exact)
 
     def test_decomposition_fallback(self):
         """Without an SP expression, sp_decompose recovers one."""

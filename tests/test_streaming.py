@@ -268,12 +268,29 @@ class TestFaultInjection:
 
 class TestAgreement:
     def test_fault_battery_matches_batch_checker(self):
-        """Same verdict as the batch checker on 180 traces.
+        """Same verdict as the batch checker on 180 traces."""
+        workloads = [
+            racy_counter_computation(4, 3)[0],
+            stencil_computation(6, 3)[0],
+        ]
+        flagged = 0
+        for comp in workloads:
+            for drop in (0.0, 0.5, 1.0):
+                for seed in range(30):
+                    trace = _run(comp, drop, seed)
+                    batch_ok = trace_admits_lc(trace.partial_observer())
+                    v = StreamingLCVerifier.check_trace(trace)
+                    assert (v is None) == batch_ok
+                    if v is not None:
+                        flagged += 1
+        assert flagged >= 40
 
-        Halting and keep-going agree with it too: no violation
-        collected ⇔ LC, and the first collected violation is the
-        halting one.  A faithful memory (drop 0) trips nothing.  Per
-        workload, SP-bags and the closure sweep name the same racy
+    def test_keep_going_agrees_on_fault_battery(self):
+        """Keep-going collection on the same 180 traces.
+
+        No violation collected ⇔ LC, and the first collected violation
+        is the halting one.  A faithful memory (drop 0) trips nothing.
+        Per workload, SP-bags and the closure sweep name the same racy
         locations.
         """
         workloads = [
@@ -291,7 +308,6 @@ class TestAgreement:
                     batch_ok = trace_admits_lc(trace.partial_observer())
                     v = StreamingLCVerifier.check_trace(trace)
                     violations = StreamingLCVerifier.collect_violations(trace)
-                    assert (v is None) == batch_ok
                     assert (not violations) == batch_ok
                     if v is not None:
                         flagged += 1
@@ -301,6 +317,8 @@ class TestAgreement:
                             v.loc,
                             v.event_index,
                         )
+                    else:
+                        assert not violations
                     if drop == 0.0:
                         assert not violations
         assert flagged >= 40
