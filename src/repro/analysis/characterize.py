@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.anomalies import AnomalyCatalog, catalog_anomalies
+from repro.models import MODELS, ZOO
 from repro.models.base import MemoryModel
 from repro.models.constructibility import (
     NonconstructibilityWitness,
@@ -36,15 +37,6 @@ from repro.models.relations import (
 from repro.models.universe import Universe
 
 __all__ = ["ModelCharacterization", "characterize_model", "render_characterization"]
-
-_ZOO_ORDER = ("SC", "LC", "NN", "NW", "WN", "WW")
-
-
-def _zoo():
-    from repro.models import LC, NN, NW, SC, WN, WW
-
-    return {"SC": SC, "LC": LC, "NN": NN, "NW": NW, "WN": WN, "WW": WW}
-
 
 @dataclass
 class ModelCharacterization:
@@ -73,14 +65,14 @@ class ModelCharacterization:
 
     def strongest_zoo_above(self) -> str | None:
         """The strongest zoo member that (empirically) contains the model."""
-        for name in _ZOO_ORDER:
+        for name in ZOO:
             if self.inside(name):
                 return name
         return None
 
     def equivalent_zoo(self) -> str | None:
         """A zoo member the model coincided with on the universe, if any."""
-        for name in _ZOO_ORDER:
+        for name in ZOO:
             if self.inside(name) and self.contains_zoo(name):
                 return name
         return None
@@ -90,9 +82,9 @@ def characterize_model(
     model: MemoryModel, universe: Universe
 ) -> ModelCharacterization:
     """Run the full battery against the zoo on a bounded universe."""
-    zoo = _zoo()
     result = ModelCharacterization(name=model.name, universe=universe)
-    for zname, zmodel in zoo.items():
+    for zname in ZOO:
+        zmodel = MODELS[zname]
         result.not_inside[zname] = is_stronger_on(model, zmodel, universe)
         result.not_containing[zname] = is_stronger_on(zmodel, model, universe)
     result.monotonic = is_monotonic_on(model, universe) is None
@@ -103,7 +95,7 @@ def characterize_model(
     # Catalog the anomalies the model admits beyond SC (the behaviours
     # it allows that a serializing memory would not).
     result.anomalies = catalog_anomalies(
-        zoo["SC"], model, universe, max_witnesses=16
+        MODELS["SC"], model, universe, max_witnesses=16
     )
     return result
 
@@ -115,8 +107,8 @@ def render_characterization(result: ModelCharacterization) -> str:
         f"{result.universe.max_nodes} "
         f"(locations {result.universe.locations!r}):"
     ]
-    inside = [z for z in _ZOO_ORDER if result.inside(z)]
-    containing = [z for z in _ZOO_ORDER if result.contains_zoo(z)]
+    inside = [z for z in ZOO if result.inside(z)]
+    containing = [z for z in ZOO if result.contains_zoo(z)]
     lines.append(f"  ⊆ (stronger than): {inside or 'none'}")
     lines.append(f"  ⊇ (weaker than):   {containing or 'none'}")
     eq = result.equivalent_zoo()

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.models import MODELS, ZOO
 from repro.models.base import MemoryModel
 from repro.models.constructibility import NonconstructibilityWitness
-from repro.models.dag_consistency import NN, NW, WN, WW
-from repro.models.location_consistency import LC
 from repro.models.relations import SeparationWitness
-from repro.models.sequential import SC
 from repro.models.universe import Universe
 
 __all__ = ["LatticeResult", "compute_lattice", "PAPER_MODELS", "PAPER_EDGES"]
 
-PAPER_MODELS: tuple[MemoryModel, ...] = (SC, LC, NN, NW, WN, WW)
+PAPER_MODELS: tuple[MemoryModel, ...] = tuple(MODELS[n] for n in ZOO)
 """The six models of Figure 1, strongest-first."""
 
 PAPER_EDGES: tuple[tuple[str, str], ...] = (
@@ -169,7 +167,6 @@ def compute_lattice(
 
     wuniv = witness_universe or universe
     models = PAPER_MODELS
-    by_name = {m.name: m for m in models}
 
     inclusions, inc_stats = parallel_inclusion_matrix(
         models, universe, jobs=jobs
@@ -183,7 +180,7 @@ def compute_lattice(
         witness universes cannot provide, so seeding is not merely an
         optimization there.
         """
-        a, b = by_name[a_name], by_name[b_name]
+        a, b = MODELS[a_name], MODELS[b_name]
         for comp, phi in _seed_pairs():
             if b.contains(comp, phi) and not a.contains(comp, phi):
                 return SeparationWitness(comp, phi, b.name, a.name)

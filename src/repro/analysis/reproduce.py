@@ -107,20 +107,20 @@ def _sec_theorem23(universe: Universe, jobs: int | None = None) -> SectionResult
 def _sec_backer(runs: int) -> SectionResult:
     from repro.lang import racy_counter_computation, store_buffer_computation
     from repro.runtime import BackerMemory, execute, work_stealing_schedule
-    from repro.verify import trace_admits_lc, trace_admits_sc
+    from repro.verify import admits
 
     comp = racy_counter_computation(4, 2)[0]
     lc_ok = 0
     for seed in range(runs):
         sched = work_stealing_schedule(comp, 4, rng=seed)
         trace = execute(sched, BackerMemory())
-        lc_ok += trace_admits_lc(trace.partial_observer())
+        lc_ok += admits("LC", trace).verdict is True
     sb = store_buffer_computation()[0]
     weak = 0
     for seed in range(runs):
         sched = work_stealing_schedule(sb, 2, rng=seed)
         po = execute(sched, BackerMemory()).partial_observer()
-        if trace_admits_lc(po) and trace_admits_sc(po) is None:
+        if admits("LC", po).verdict and admits("SC", po).verdict is False:
             weak += 1
     ok = lc_ok == runs and weak > 0
     detail = (

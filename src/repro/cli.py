@@ -73,6 +73,9 @@ __all__ = ["main", "build_parser"]
 #: against the ``--ledger`` file), or an explicit history file.
 _NO_COMPARE = "\0no-compare"
 
+SC_NODE_LIMIT = 64
+"""Largest computation ``run`` and ``check`` decide (exponential) SC on."""
+
 PROGRAMS = {
     "fib": ("fib_computation", "size", 8),
     "matmul": ("matmul_computation", "blocks", 2),
@@ -171,6 +174,8 @@ def _add_obs_args(
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for shell-completion tooling)."""
+    from repro.models import ZOO
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Computation-centric memory models (Frigo & Luchangco, SPAA 1998)",
@@ -273,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "conformance",
         help="randomized conformance campaign of a memory against a model",
     )
-    conf.add_argument("--target", choices=["SC", "LC", "NN", "NW", "WN", "WW"],
-                      default="LC")
+    conf.add_argument("--target", choices=ZOO, default="LC")
     conf.add_argument("--memory", choices=["backer", "serial"], default="backer")
     conf.add_argument("--drop-reconcile", type=float, default=0.0)
     conf.add_argument("--drop-flush", type=float, default=0.0)
@@ -347,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "or 1; 0 = all cores)")
     srv.add_argument("--checks", default="lc,sc,streaming",
                      metavar="CHECK[,CHECK...]",
-                     help="default model checks per item: lc, sc, streaming "
-                          "(per-request envelopes may override)")
+                     help="default checks per item among lc, sc, streaming, "
+                          "nn, nw, wn, ww (per-request envelopes may override)")
     srv.add_argument("--sanitize", action="store_true",
                      help="also replay trace items through the LC sanitizer "
                           "(per-event violations with witnesses)")
@@ -455,7 +459,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.analysis import render_pair
-    from repro.models import LC, NN, NW, SC, WN, WW
+    from repro.models import MODELS, ZOO
     from repro.paperfigures import (
         figure2_pair,
         figure3_pair,
@@ -463,7 +467,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         lc_not_sc_pair,
     )
 
-    models = (SC, LC, NN, NW, WN, WW)
     for name, pair in [
         ("Figure 2", figure2_pair()),
         ("Figure 3", figure3_pair()),
@@ -474,7 +477,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(f"== {name}")
         print(render_pair(comp, phi))
         verdicts = ", ".join(
-            f"{m.name}={'∈' if m.contains(comp, phi) else '∉'}" for m in models
+            f"{m}={'∈' if MODELS[m].contains(comp, phi) else '∉'}" for m in ZOO
         )
         print(f"  {verdicts}")
         print()
@@ -483,40 +486,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.io import dumps
-    from repro.runtime import (
-        BackerMemory,
-        DirectoryMemory,
-        HierarchicalBackerMemory,
-        SerialMemory,
-        execute,
-        work_stealing_schedule,
-    )
-    from repro.runtime.memory_base import MemorySystem
-    from repro.verify import StreamingLCVerifier, trace_admits_lc, trace_admits_sc
+    from repro.runtime import execute, work_stealing_schedule
+    from repro.verify import StreamingLCVerifier, admits
 
     comp, info = _resolve_program(args.program, args.size)
 
     schedule = work_stealing_schedule(comp, args.procs, rng=args.seed)
-    memory: MemorySystem
-    if args.memory == "serial":
-        memory = SerialMemory()
-    elif args.memory == "directory":
-        memory = DirectoryMemory()
-    elif args.memory == "hier":
-        from repro.runtime.hier_sweep import resolve_shape
-
-        memory = HierarchicalBackerMemory(
-            resolve_shape(args.hier_shape),
-            drop_reconcile_probability=args.drop_reconcile,
-            drop_flush_probability=args.drop_flush,
-            rng=args.seed,
-        )
-    else:
-        memory = BackerMemory(
-            drop_reconcile_probability=args.drop_reconcile,
-            drop_flush_probability=args.drop_flush,
-            rng=args.seed,
-        )
+    memory = _make_memory(args, args.seed)
     sanitizer = StreamingLCVerifier() if args.sanitize else None
     trace = execute(schedule, memory, sanitizer=sanitizer)
     if trace.violation is not None:
@@ -528,8 +504,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  witness nodes: {list(v.witness)}")
         return 2
     po = trace.partial_observer()
-    lc_ok = trace_admits_lc(po)
-    sc_order = trace_admits_sc(po) if comp.num_nodes <= 64 else None
+    lc_ok = admits("LC", po).verdict
+    sc_ok = admits("SC", po, sc_node_limit=SC_NODE_LIMIT).verdict
 
     print(
         f"program={args.program} nodes={comp.num_nodes} "
@@ -538,10 +514,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(f"reads={len(trace.reads)} constraints={po.num_constraints()}")
     print(f"location consistent: {'yes' if lc_ok else 'NO — protocol violation'}")
-    if comp.num_nodes <= 64:
-        print(f"sequentially consistent: {'yes' if sc_order else 'no'}")
-    else:
+    if sc_ok is None:
         print("sequentially consistent: (skipped, computation too large)")
+    else:
+        print(f"sequentially consistent: {'yes' if sc_ok else 'no'}")
     if args.out:
         with open(args.out, "w") as f:
             f.write(dumps(trace))
@@ -549,41 +525,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if lc_ok else 2
 
 
+_MEMBERSHIP = {True: "∈", False: "∉", None: "(skipped, computation too large)"}
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.core import ObserverFunction
-    from repro.core.computation import Computation
-    from repro.io import loads
-    from repro.models import LC, NN, NW, SC, WN, WW
-    from repro.runtime import ExecutionTrace, PartialObserver
-    from repro.verify import trace_admits_lc, trace_admits_sc
+    """Ask :func:`repro.serve.check_document` and render its verdicts."""
+    from repro.core import Computation, ObserverFunction
+    from repro.io import load_document, parse_json
+    from repro.models import ZOO
+    from repro.serve import CheckOptions, check_document
 
     with open(args.path) as f:
-        obj = loads(f.read())
-
-    if isinstance(obj, ExecutionTrace):
-        obj = obj.partial_observer()
-    if isinstance(obj, PartialObserver):
-        comp = obj.comp
-        lc = trace_admits_lc(obj)
-        print(f"partial observer: {comp.num_nodes} nodes, "
-              f"{obj.num_constraints()} constraints")
-        print(f"  completable within LC: {'yes' if lc else 'no'}")
-        if comp.num_nodes <= 64:
-            sc = trace_admits_sc(obj)
-            print(f"  completable within SC: {'yes' if sc is not None else 'no'}")
-        return 0 if lc else 2
-    if isinstance(obj, ObserverFunction):
-        comp = obj.computation
-        print(f"observer function: {comp.num_nodes} nodes")
-        for m in (SC, LC, NN, NW, WN, WW):
-            print(f"  {m.name}: {'∈' if m.contains(comp, obj) else '∉'}")
-        return 0
+        doc = parse_json(f.read())
+    obj = load_document(doc)
     if isinstance(obj, Computation):
         print(f"computation: {obj.num_nodes} nodes, "
               f"{obj.dag.num_edges} edges, locations={list(obj.locations)}")
         return 0
-    print(f"unsupported document type {type(obj).__name__}", file=sys.stderr)
-    return 1
+    observer = isinstance(obj, ObserverFunction)
+    checks = tuple(m.lower() for m in ZOO) if observer else ("lc", "sc")
+    verdict = check_document(doc, CheckOptions(checks=checks, sc_node_limit=SC_NODE_LIMIT))
+    if not verdict["ok"]:
+        raise ReproError(verdict["error"])
+    verdicts = verdict["verdicts"]
+    if observer:
+        print(f"observer function: {obj.computation.num_nodes} nodes")
+        for m in ZOO:
+            print(f"  {m}: {_MEMBERSHIP[verdicts[m.lower()]]}")
+        return 0
+    po = obj.partial_observer() if verdict["kind"] == "trace" else obj
+    print(f"partial observer: {po.comp.num_nodes} nodes, {po.num_constraints()} constraints")
+    print(f"  completable within LC: {'yes' if verdicts['lc'] else 'no'}")
+    if verdicts["sc"] is not None:
+        print(f"  completable within SC: {'yes' if verdicts['sc'] else 'no'}")
+    return 0 if verdicts["lc"] else 2
 
 
 def _expand_lint_targets(targets: Sequence[str]) -> list[str]:
@@ -646,27 +621,17 @@ def _lint_context(
             explicit=explicit,
         )
 
-    from repro.core.computation import Computation
+    from repro.core import Computation, ObserverFunction
     from repro.io import loads
     from repro.runtime import ExecutionTrace
 
     with open(target) as f:
         obj = loads(f.read())
-    trace = None
-    if isinstance(obj, ExecutionTrace):
-        trace = obj
-        comp = obj.comp
-    elif isinstance(obj, Computation):
+    trace = obj if isinstance(obj, ExecutionTrace) else None
+    if isinstance(obj, Computation):
         comp = obj
-    else:
-        comp = getattr(obj, "comp", None) or getattr(
-            obj, "computation", None
-        )
-        if not isinstance(comp, Computation):
-            raise ValueError(
-                f"document {target!r} carries no computation "
-                f"(got {type(obj).__name__})"
-            )
+    else:  # every other document kind carries its computation
+        comp = obj.computation if isinstance(obj, ObserverFunction) else obj.comp
     return AnalysisContext(
         comp, target=target, engine=engine, trace=trace, explicit=explicit
     )
@@ -769,15 +734,24 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _make_memory(args: argparse.Namespace, seed: int):
-    from repro.runtime import BackerMemory, SerialMemory
+    """The ``--memory`` of ``run``, ``infer`` and ``conformance``; the
+    BACKER memories take the fault-injection flags and ``seed``."""
+    from repro.runtime import BackerMemory, DirectoryMemory, HierarchicalBackerMemory, SerialMemory
 
     if args.memory == "serial":
         return SerialMemory()
-    return BackerMemory(
+    if args.memory == "directory":
+        return DirectoryMemory()
+    faults = dict(
         drop_reconcile_probability=args.drop_reconcile,
         drop_flush_probability=args.drop_flush,
         rng=seed,
     )
+    if args.memory == "hier":
+        from repro.runtime.hier_sweep import resolve_shape
+
+        return HierarchicalBackerMemory(resolve_shape(args.hier_shape), **faults)
+    return BackerMemory(**faults)
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:

@@ -87,6 +87,15 @@ def _decode_location(data: Any) -> Location:
         if set(data) != {"tuple"}:
             raise FormatError(f"bad location encoding: {data!r}")
         return tuple(_decode_location(x) for x in data["tuple"])
+    if not isinstance(data, (str, int, float, bool)) and data is not None:
+        raise FormatError(f"bad location encoding: {data!r}")
+    return data
+
+
+def _decode_node(data: Any, comp: Computation) -> int:
+    """A node id of ``comp``; observed values wrap it, ``None`` being ⊥."""
+    if type(data) is not int or not 0 <= data < comp.num_nodes:
+        raise FormatError(f"bad node id {data!r} for {comp.num_nodes} nodes")
     return data
 
 
@@ -135,8 +144,11 @@ def dump_computation(comp: Computation) -> dict:
 def load_computation(data: dict) -> Computation:
     """Decode :func:`dump_computation` output (validates structure)."""
     _check_header(data, "repro/computation")
-    dag = Dag(data["num_nodes"], [tuple(e) for e in data["edges"]])
-    return Computation(dag, [_decode_op(o) for o in data["ops"]])
+    ops = [_decode_op(o) for o in data["ops"]]
+    if data["num_nodes"] != len(ops):  # before the dag allocates rows
+        raise FormatError(f"num_nodes {data['num_nodes']!r} != {len(ops)} ops")
+    dag = Dag(len(ops), [tuple(e) for e in data["edges"]])
+    return Computation(dag, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +174,10 @@ def load_observer(data: dict) -> ObserverFunction:
     _check_header(data, "repro/observer")
     comp = load_computation(data["computation"])
     mapping = {
-        _decode_location(r["loc"]): tuple(r["row"]) for r in data["rows"]
+        _decode_location(r["loc"]): tuple(
+            None if v is None else _decode_node(v, comp) for v in r["row"]
+        )
+        for r in data["rows"]
     }
     return ObserverFunction(comp, mapping, validate=True)
 
@@ -194,7 +209,8 @@ def load_partial_observer(data: dict) -> PartialObserver:
     constraints: dict[Location, dict[int, int | None]] = {}
     for c in data["constraints"]:
         loc = _decode_location(c["loc"])
-        constraints.setdefault(loc, {})[c["node"]] = c["value"]
+        value = None if c["value"] is None else _decode_node(c["value"], comp)
+        constraints.setdefault(loc, {})[_decode_node(c["node"], comp)] = value
     return PartialObserver(comp, constraints)
 
 
@@ -219,17 +235,15 @@ def load_trace(data: dict) -> ExecutionTrace:
     """Decode :func:`dump_trace` output (re-validates the schedule)."""
     _check_header(data, "repro/trace")
     comp = load_computation(data["computation"])
-    sched = Schedule(
-        comp,
-        tuple(data["proc_of"]),
-        tuple(data["start_of"]),
-        data["num_procs"],
-    )
+    proc_of, start_of = tuple(data["proc_of"]), tuple(data["start_of"])
+    if any(type(x) is not int for x in proc_of + start_of):
+        raise FormatError("schedule entries must be integers")
+    sched = Schedule(comp, proc_of, start_of, data["num_procs"])
     trace = ExecutionTrace(comp, sched, data["memory"])
     for e in data["reads"]:
-        trace.reads.append(
-            ReadEvent(e["node"], _decode_location(e["loc"]), e["observed"])
-        )
+        node = _decode_node(e["node"], comp)
+        observed = None if e["observed"] is None else _decode_node(e["observed"], comp)
+        trace.reads.append(ReadEvent(node, _decode_location(e["loc"]), observed))
     return trace
 
 
@@ -281,12 +295,20 @@ def document_loader(data: Any) -> Callable[[dict], Any]:
 
 
 def load_document(data: Any) -> Any:
-    """Load a parsed document through the loader its format tag names."""
+    """Load a parsed document through the loader its format tag names.
+
+    Raises only :class:`FormatError`, one line naming the original error
+    (a validation error, or a missing key or wrongly typed field)."""
     loader = document_loader(data)
     try:
         return loader(data)
+    except FormatError:
+        raise
     except RecursionError:
         raise FormatError("document nested too deeply") from None
+    except (ReproError, LookupError, AttributeError, ArithmeticError, TypeError, ValueError) as exc:
+        detail = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        raise FormatError(f"malformed {data['format']} document ({detail})") from None
 
 
 def loads(text: str) -> Any:

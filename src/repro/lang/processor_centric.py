@@ -104,23 +104,15 @@ class LitmusTest:
         return comp, PartialObserver(comp, constraints)
 
 
-def litmus_outcome_allowed(test: LitmusTest, model_name: str) -> bool:
+def litmus_outcome_allowed(test: LitmusTest, model_name: str) -> bool | None:
     """Whether the test's outcome is allowed by a model.
 
-    ``model_name`` ∈ {"SC", "LC", "NN", "NW", "WN", "WW", "CC"}.  SC and
-    LC use the exact trace checkers; the dag models and CC use bounded
-    completion search (litmus computations are tiny).
+    ``model_name`` is a key of :data:`repro.models.MODELS`; the answer is
+    :func:`repro.verify.admits`' verdict on the outcome's constraints.
     """
-    from repro.models import CC, NN, NW, WN, WW
-    from repro.verify import find_completion, trace_admits_lc, trace_admits_sc
+    from repro.verify import admits
 
-    comp, partial = test.build()
-    if model_name == "SC":
-        return trace_admits_sc(partial) is not None
-    if model_name == "LC":
-        return trace_admits_lc(partial)
-    model = {"NN": NN, "NW": NW, "WN": WN, "WW": WW, "CC": CC}[model_name]
-    return find_completion(model, partial) is not None
+    return admits(model_name, test.build()[1]).verdict
 
 
 LITMUS_TESTS: tuple[LitmusTest, ...] = (

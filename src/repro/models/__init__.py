@@ -55,7 +55,15 @@ from repro.models.relations import (
 from repro.models.sequential import SC, SequentialConsistency
 from repro.models.universe import Universe, default_alphabet
 
+MODELS: dict[str, MemoryModel] = {m.name: m for m in (SC, LC, NN, NW, WN, WW, CC)}
+"""The one name → model table: Figure 1's six, strongest first, then CC."""
+
+ZOO: tuple[str, ...] = tuple(MODELS)[:6]
+"""Figure 1's six models, strongest first: SC, LC, NN, NW, WN, WW."""
+
 __all__ = [
+    "MODELS",
+    "ZOO",
     "MemoryModel",
     "IntersectionModel",
     "UnionModel",

@@ -1273,13 +1273,12 @@ def _instrumented(
 
 
 def _resolve_models(names: Sequence[str]) -> dict[str, Any]:
-    from repro.models import CC, LC, NN, NW, SC, WN, WW
+    from repro.models import MODELS
 
-    registry = {m.name: m for m in (SC, LC, CC, NN, NW, WN, WW)}
-    unknown = [n for n in names if n not in registry]
+    unknown = [n for n in names if n not in MODELS]
     if unknown:
         raise ValueError(f"unknown model name(s) {unknown!r}")
-    return {n: registry[n] for n in names}
+    return {n: MODELS[n] for n in names}
 
 
 def _model_names(models: Sequence) -> tuple[str, ...]:

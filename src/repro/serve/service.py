@@ -68,8 +68,11 @@ __all__ = [
     "request_fingerprint",
 ]
 
-KNOWN_CHECKS = ("lc", "sc", "streaming")
-"""The model checks a request may ask for."""
+KNOWN_CHECKS = ("lc", "sc", "streaming", "nn", "nw", "wn", "ww")
+"""The checks a request may ask for: ``streaming`` (traces only) and one
+per model, its lower-cased name, answered by :func:`repro.verify.admits`
+(``null`` when undecided: SC above ``sc_node_limit``, or a completion
+search over budget)."""
 
 CANON_NODE_LIMIT = 7
 """Largest dag put in canonical labelling for isomorphism dedupe.
@@ -116,14 +119,26 @@ class CheckOptions:
 
     @classmethod
     def merged(cls, data: dict, base: "CheckOptions") -> "CheckOptions":
-        """``base`` overridden by an envelope's option fields."""
-        checks = data.get("checks")
-        rules = data.get("rules")
+        """``base`` overridden by an envelope's option fields (absent or
+        ``null`` keeps the base value; a wrong type is a
+        :class:`repro.io.FormatError`)."""
+
+        def field(name: str, valid: Callable[[Any], bool], kind: str) -> Any:
+            value = data.get(name)
+            if value is None:
+                return getattr(base, name)
+            if not valid(value):
+                raise FormatError(f"envelope field {name!r} must be {kind}")
+            return value
+
+        def names(value: Any) -> bool:
+            return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
         return cls(
-            checks=tuple(checks) if checks is not None else base.checks,
-            sanitize=bool(data.get("sanitize", base.sanitize)),
-            rules=tuple(rules) if rules is not None else base.rules,
-            sc_node_limit=int(data.get("sc_node_limit", base.sc_node_limit)),
+            checks=tuple(field("checks", names, "a list of strings")),
+            sanitize=field("sanitize", lambda v: isinstance(v, bool), "a boolean"),
+            rules=tuple(field("rules", names, "a list of strings")),
+            sc_node_limit=field("sc_node_limit", lambda v: type(v) is int, "an integer"),
         )
 
     def key(self) -> tuple:
@@ -419,60 +434,31 @@ def _error_verdict(exc: Exception) -> dict:
     return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "seconds": 0.0}
 
 
-def _admitted(verdicts: dict[str, bool | None]) -> bool | None:
-    booleans = [v for v in verdicts.values() if isinstance(v, bool)]
-    if not booleans:
-        return None
-    return all(booleans)
-
-
 def _check_object(obj: Any, options: CheckOptions) -> dict:
+    """The verdict payload of one loaded document: ``streaming`` on
+    traces, then each model check through :func:`repro.verify.admits`."""
     from repro.core.computation import Computation
     from repro.core.observer import ObserverFunction
     from repro.runtime.trace import ExecutionTrace, PartialObserver
-
-    if isinstance(obj, ExecutionTrace):
-        return _check_trace(obj, options)
-    if isinstance(obj, PartialObserver):
-        out = {"kind": "partial-observer"}
-        out["verdicts"] = _model_verdicts(obj, options, obj.comp.num_nodes)
-        out["admitted"] = _admitted(out["verdicts"])
-        return out
-    if isinstance(obj, ObserverFunction):
-        return _check_observer(obj, options)
-    if isinstance(obj, Computation):
-        out = {"kind": "computation", "verdicts": {}, "admitted": None}
-        if options.rules:
-            out["findings"] = _run_rules(obj, None, options)
-        return out
-    raise FormatError(f"cannot check {type(obj).__name__!r}")
-
-
-def _model_verdicts(
-    partial: Any, options: CheckOptions, num_nodes: int
-) -> dict[str, bool | None]:
-    from repro.verify import trace_admits_lc, trace_admits_sc
-
-    verdicts: dict[str, bool | None] = {}
-    if "lc" in options.checks:
-        verdicts["lc"] = trace_admits_lc(partial)
-    if "sc" in options.checks:
-        if num_nodes <= options.sc_node_limit:
-            verdicts["sc"] = trace_admits_sc(partial) is not None
-        else:
-            verdicts["sc"] = None
-    return verdicts
-
-
-def _check_trace(trace: Any, options: CheckOptions) -> dict:
-    from repro.verify import trace_admits_lc, trace_admits_sc
+    from repro.verify.checker import admits
     from repro.verify.streaming import StreamingLCVerifier
 
-    comp = trace.comp
-    partial = trace.partial_observer()
-    out: dict[str, Any] = {"kind": "trace", "nodes": comp.num_nodes}
+    kinds = {
+        ExecutionTrace: "trace",
+        PartialObserver: "partial-observer",
+        ObserverFunction: "observer",
+        Computation: "computation",
+    }
+    if type(obj) not in kinds:
+        raise FormatError(f"cannot check {type(obj).__name__!r}")
+    out: dict[str, Any] = {"kind": kinds[type(obj)]}
+    trace = obj if isinstance(obj, ExecutionTrace) else None
+    document = None if isinstance(obj, Computation) else obj
+    if trace is not None:
+        out["nodes"] = trace.comp.num_nodes
+        document = trace.partial_observer()
     verdicts: dict[str, bool | None] = {}
-    if "streaming" in options.checks:
+    if trace is not None and "streaming" in options.checks:
         violation = StreamingLCVerifier.check_trace(trace)
         verdicts["streaming"] = violation is None
         if violation is not None:
@@ -482,19 +468,17 @@ def _check_trace(trace: Any, options: CheckOptions) -> dict:
                 "reason": violation.reason,
                 "blocks": list(violation.blocks),
             }
-    if "lc" in options.checks:
-        verdicts["lc"] = trace_admits_lc(partial)
-    if "sc" in options.checks:
-        if comp.num_nodes <= options.sc_node_limit:
-            witness = trace_admits_sc(partial)
-            verdicts["sc"] = witness is not None
-            if witness is not None:
-                out["sc_witness"] = list(witness)
-        else:
-            verdicts["sc"] = None
+    for check in KNOWN_CHECKS:
+        if check == "streaming" or check not in options.checks or document is None:
+            continue
+        result = admits(check.upper(), document, sc_node_limit=options.sc_node_limit)
+        verdicts[check] = result.verdict
+        if trace is not None and result.witness is not None:
+            out["sc_witness"] = list(result.witness)
+    decided = [v for v in verdicts.values() if v is not None]
     out["verdicts"] = verdicts
-    out["admitted"] = _admitted(verdicts)
-    if options.sanitize:
+    out["admitted"] = all(decided) if decided else None
+    if trace is not None and options.sanitize:
         out["sanitizer"] = [
             {
                 "node": v.node,
@@ -506,28 +490,11 @@ def _check_trace(trace: Any, options: CheckOptions) -> dict:
             }
             for v in StreamingLCVerifier.collect_violations(trace)
         ]
-    if options.rules:
+    # Analysis rules run on traces and bare computations.
+    if options.rules and (trace is not None or document is None):
+        comp = obj if trace is None else trace.comp
         out["findings"] = _run_rules(comp, trace, options)
     return out
-
-
-def _check_observer(phi: Any, options: CheckOptions) -> dict:
-    from repro.models import LC, SC
-
-    comp = phi.computation
-    verdicts: dict[str, bool | None] = {}
-    if "lc" in options.checks:
-        verdicts["lc"] = LC.contains(comp, phi)
-    if "sc" in options.checks:
-        if comp.num_nodes <= options.sc_node_limit:
-            verdicts["sc"] = SC.contains(comp, phi)
-        else:
-            verdicts["sc"] = None
-    return {
-        "kind": "observer",
-        "verdicts": verdicts,
-        "admitted": _admitted(verdicts),
-    }
 
 
 def _run_rules(comp: Any, trace: Any, options: CheckOptions) -> list[dict]:

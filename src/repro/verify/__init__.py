@@ -6,7 +6,9 @@ The entry points take a :class:`~repro.runtime.trace.PartialObserver`
 * :func:`trace_admits_lc` / :func:`lc_completion` — polynomial LC check
   with a total-observer certificate;
 * :func:`trace_admits_sc` — exact SC check (returns a witnessing sort);
-* :func:`find_completion` — bounded completion search against any model.
+* :func:`find_completion` — bounded completion search against any model;
+* :func:`admits` — the one admission check on top of them (model name +
+  document → ``True``/``False``/``None``, the SC cap and the budget).
 
 Static analysis lives here too: the exact race sweep
 (:mod:`repro.verify.races`), the near-linear SP-bags detector with
@@ -18,6 +20,8 @@ inside the executor as a trace sanitizer.
 """
 
 from repro.verify.checker import (
+    Admission,
+    admits,
     find_completion,
     lc_completion,
     lc_trace_orders,
@@ -69,6 +73,8 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "Admission",
+    "admits",
     "trace_admits_lc",
     "lc_completion",
     "lc_trace_orders",

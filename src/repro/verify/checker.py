@@ -24,12 +24,14 @@ observer function completing it belongs to the model.
 * :func:`find_completion` — generic bounded completion search for any
   model (used to check traces against dag-consistency models on small
   computations).
+* :func:`admits` — the one admission check every caller asks; it picks
+  a procedure above and owns the SC node cap and the completion budget.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro import obs
 from repro.core.computation import Computation
@@ -37,10 +39,13 @@ from repro.core.last_writer import last_writer_row
 from repro.core.observer import ObserverFunction, candidate_values
 from repro.core.ops import Location
 from repro.dag.digraph import bit_indices
+from repro.models import MODELS
 from repro.models.base import MemoryModel
-from repro.runtime.trace import PartialObserver
+from repro.runtime.trace import ExecutionTrace, PartialObserver
 
 __all__ = [
+    "Admission",
+    "admits",
     "trace_admits_lc",
     "lc_trace_orders",
     "lc_completion",
@@ -301,10 +306,14 @@ _FREE = object()
 """Sentinel distinguishing "unconstrained" from "constrained to ⊥"."""
 
 
+COMPLETION_BUDGET = 200_000
+"""Default candidate budget of :func:`find_completion`."""
+
+
 def find_completion(
     model: MemoryModel,
     partial: PartialObserver,
-    max_candidates: int = 200_000,
+    max_candidates: int = COMPLETION_BUDGET,
 ) -> ObserverFunction | None:
     """Search for *any* completion of the trace inside ``model``.
 
@@ -312,8 +321,10 @@ def find_completion(
     guard (raises ``ValueError`` when the candidate space exceeds
     ``max_candidates``) — intended for small computations and for
     checking traces against models without a specialized verifier (the
-    dag-consistency family).  LC traces short-circuit through
-    :func:`lc_completion` when the model contains LC's completion.
+    dag-consistency family).  There is no shortcut here: every
+    candidate is tested with ``model.contains``; :func:`admits` is
+    where LC-completable traces skip the search for models that
+    contain LC.
     """
     comp = partial.comp
     locs = sorted(set(partial.locations) | set(comp.locations), key=repr)
@@ -375,3 +386,52 @@ def lc_trace_orders(partial: PartialObserver) -> dict | None:
             return None
         out[loc] = order
     return out
+
+
+class Admission(NamedTuple):
+    """:func:`admits`' answer: ``verdict`` is ``None`` when undecided;
+    ``witness`` is SC's witnessing sort when SC admits a trace."""
+
+    verdict: bool | None
+    witness: tuple[int, ...] | None = None
+
+
+def admits(
+    model: str,
+    document: ObserverFunction | PartialObserver | ExecutionTrace,
+    *,
+    sc_node_limit: int | None = None,
+    completion_budget: int = COMPLETION_BUDGET,
+) -> Admission:
+    """Does the model named ``model`` (a key of :data:`repro.models.MODELS`)
+    admit ``document``?
+
+    A full observer function is tested with ``model.contains``; a trace
+    or partial observer needs a completion: :func:`trace_admits_lc`,
+    :func:`trace_admits_sc`, else :func:`find_completion` (undecided past
+    ``completion_budget``), skipped by NN/NW/WN/WW when LC admits the
+    trace (LC ⊆ each, Theorem 22).  SC is undecided above
+    ``sc_node_limit`` nodes (``None``: no cap).
+    """
+    target = MODELS.get(model)
+    if target is None:
+        raise ValueError(f"unknown model {model!r} (known: {', '.join(MODELS)})")
+    if isinstance(document, ExecutionTrace):
+        document = document.partial_observer()
+    comp = document.computation if isinstance(document, ObserverFunction) else document.comp
+    if model == "SC" and sc_node_limit is not None and comp.num_nodes > sc_node_limit:
+        return Admission(None)
+    if isinstance(document, ObserverFunction):
+        return Admission(target.contains(comp, document))
+    if model == "LC":
+        return Admission(trace_admits_lc(document))
+    if model == "SC":
+        order = trace_admits_sc(document)
+        return Admission(order is not None, order)
+    if model in ("NN", "NW", "WN", "WW") and trace_admits_lc(document):
+        return Admission(True)
+    try:
+        phi = find_completion(target, document, completion_budget)
+    except ValueError:
+        return Admission(None)
+    return Admission(phi is not None)

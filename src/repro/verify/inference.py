@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.core.computation import Computation
+from repro.models import ZOO
 from repro.runtime.executor import execute
 from repro.runtime.memory_base import MemorySystem
 from repro.runtime.scheduler import work_stealing_schedule
 from repro.runtime.trace import PartialObserver
-from repro.verify.checker import find_completion, trace_admits_lc, trace_admits_sc
+from repro.verify.checker import admits
 
 __all__ = [
     "InferenceResult",
@@ -37,31 +38,6 @@ __all__ = [
     "ConformanceReport",
     "conformance_campaign",
 ]
-
-#: The zoo, strongest first; inference reports a verdict per name.
-MODEL_NAMES = ("SC", "LC", "NN", "NW", "WN", "WW")
-
-
-def _trace_consistent_with(
-    name: str, partial: PartialObserver, completion_budget: int
-) -> bool:
-    if name == "SC":
-        return trace_admits_sc(partial) is not None
-    if name == "LC":
-        return trace_admits_lc(partial)
-    # Dag models: LC completability implies membership (LC ⊆ NN ⊆ all),
-    # so only non-LC traces need the bounded completion search.
-    if trace_admits_lc(partial):
-        return True
-    from repro.models import NN, NW, WN, WW
-
-    model = {"NN": NN, "NW": NW, "WN": WN, "WW": WW}[name]
-    try:
-        return find_completion(model, partial, completion_budget) is not None
-    except ValueError:
-        # Search space too large to decide: be conservative (do not
-        # eliminate the model on an undecided trace).
-        return True
 
 
 @dataclass
@@ -74,13 +50,13 @@ class InferenceResult:
 
     traces_seen: int = 0
     consistent: dict[str, bool] = field(
-        default_factory=lambda: {n: True for n in MODEL_NAMES}
+        default_factory=lambda: {n: True for n in ZOO}
     )
     eliminated_by: dict[str, int] = field(default_factory=dict)
 
     def strongest_consistent(self) -> str | None:
         """The strongest surviving model (zoo order), if any."""
-        for name in MODEL_NAMES:
+        for name in ZOO:
             if self.consistent[name]:
                 return name
         return None
@@ -90,15 +66,19 @@ def infer_models(
     partials: Iterable[PartialObserver],
     completion_budget: int = 50_000,
 ) -> InferenceResult:
-    """Refine the model verdicts over a batch of trace observations."""
+    """Refine the model verdicts over a batch of trace observations.
+
+    Only a ``False`` from :func:`admits` eliminates a model; an
+    undecided trace (over ``completion_budget``) eliminates nothing.
+    """
     result = InferenceResult()
     for partial in partials:
         idx = result.traces_seen
         result.traces_seen += 1
-        for name in MODEL_NAMES:
+        for name in ZOO:
             if not result.consistent[name]:
                 continue
-            if not _trace_consistent_with(name, partial, completion_budget):
+            if admits(name, partial, completion_budget=completion_budget).verdict is False:
                 result.consistent[name] = False
                 result.eliminated_by[name] = idx
     return result
@@ -141,9 +121,9 @@ def conformance_campaign(
     ``memory_factory(seed)`` must return a fresh memory per run (so
     fault-injection RNGs do not correlate across runs).  ``target`` is a
     zoo model name; every (workload, procs, seed) execution's trace is
-    checked against it.
+    checked against it; only a ``False`` from :func:`admits` is a violation.
     """
-    if target not in MODEL_NAMES:
+    if target not in ZOO:
         raise ValueError(f"unknown target model {target!r}")
     report = ConformanceReport(target=target)
     for wi, comp in enumerate(workloads):
@@ -155,9 +135,7 @@ def conformance_campaign(
                 trace = execute(sched, memory_factory(seed))
                 partial = trace.partial_observer()
                 report.runs += 1
-                if not _trace_consistent_with(
-                    target, partial, completion_budget
-                ):
+                if admits(target, partial, completion_budget=completion_budget).verdict is False:
                     report.violations.append(
                         Violation(wi, p, seed, partial.num_constraints())
                     )

@@ -6,6 +6,7 @@ isomorphic) canonical forms, SIGTERM draining in-flight work, and
 SIGKILL + journal replay yielding a ``validate_trace``-clean record.
 """
 
+import io
 import itertools
 import json
 import os
@@ -33,7 +34,7 @@ from repro.core import (
     relabel_observer,
 )
 from repro.dag import Dag
-from repro.io import dump_partial_observer, dump_trace
+from repro.io import FormatError, dump_partial_observer, dump_trace
 from repro.runtime import ExecutionTrace, PartialObserver, ReadEvent
 from repro.runtime.scheduler import Schedule, greedy_schedule
 from repro.serve import (
@@ -163,6 +164,30 @@ class TestParsing:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             CheckOptions(checks=("lc", "tso"))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            '"sc_node_limit": 1e400',
+            '"sanitize": "no"',
+            '"rules": {"a": 1}',
+            '"checks": "lc"',
+        ],
+    )
+    def test_envelope_option_of_wrong_type_fails_its_item(self, field, tmp_path):
+        document = json.dumps(dump_trace(bad_trace()))
+        line = f'{{"document": {document}, {field}}}'
+        with pytest.raises(FormatError):
+            parse_request(line, CheckOptions())
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(f"{line}\n{json.dumps(dump_trace(good_trace()))}\n")
+        out = tmp_path / "verdicts.jsonl"
+        with TraceCheckService(jobs=1) as svc:
+            run_batch_file(svc, str(batch), str(out), log=io.StringIO())
+        bad, good = [json.loads(row) for row in out.read_text().splitlines()]
+        assert bad["ok"] is False and bad["error"].startswith("FormatError: ")
+        assert "\n" not in bad["error"]
+        assert good["ok"] is True and good["admitted"] is True
 
     def test_fingerprint_matches_isomorphic_twins(self):
         from repro.io import load_trace
