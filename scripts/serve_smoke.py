@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke check for the ``repro serve`` trace-checking service.
 
-Four subcommands, all exercised by the ``serve-smoke`` CI job:
+Five subcommands, all exercised by the ``serve-smoke`` CI job:
 
 1. ``python scripts/serve_smoke.py gen N BATCH.jsonl`` — write a
    deterministic N-item mixed batch: even indices are admitted
@@ -27,6 +27,10 @@ Four subcommands, all exercised by the ``serve-smoke`` CI job:
    accounts for every accepted item (``pending`` == 0), with
    ``--expect-torn`` additionally requiring a non-clean shutdown (the
    SIGKILL leg: accepted work must still reconcile).
+5. ``python scripts/serve_smoke.py same A.jsonl B.jsonl`` — two verdict
+   files of one batch agree item for item: the same indices, and per
+   index the same ``admitted`` and ``verdicts`` (say, a run with a
+   monitor installed and one without).
 
 Exit code 0 on success, 1 with a diagnostic on the first failure.
 """
@@ -73,20 +77,54 @@ def _cycle_trace(perm):
 UNIQUE_CLASSES = 7
 
 
-def gen_batch(count: int, out_path: str) -> int:
+def batch_lines(count: int) -> list[str]:
+    """The ``count`` request lines of the mixed batch (see ``gen``)."""
     from repro.io import dump_trace
 
-    chains = [_chain_trace(n) for n in range(2, 8)]
-    cycles = [_cycle_trace(p) for p in itertools.permutations((0, 1, 2))]
+    chains = [json.dumps(dump_trace(_chain_trace(n))) for n in range(2, 8)]
+    cycles = [
+        json.dumps(dump_trace(_cycle_trace(p)))
+        for p in itertools.permutations((0, 1, 2))
+    ]
+    return [
+        chains[(i // 2) % len(chains)]
+        if i % 2 == 0
+        else cycles[(i // 2) % len(cycles)]
+        for i in range(count)
+    ]
+
+
+def gen_batch(count: int, out_path: str) -> int:
     with open(out_path, "w", encoding="utf-8") as f:
-        for i in range(count):
-            trace = (
-                chains[(i // 2) % len(chains)]
-                if i % 2 == 0
-                else cycles[(i // 2) % len(cycles)]
-            )
-            f.write(json.dumps(dump_trace(trace)) + "\n")
+        for line in batch_lines(count):
+            f.write(line + "\n")
     print(f"serve-smoke: wrote {count} request(s) to {out_path}")
+    return 0
+
+
+def compare_runs(path_a: str, path_b: str) -> int:
+    runs = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as f:
+            verdicts = [json.loads(line) for line in f if line.strip()]
+        runs.append({v["index"]: v for v in verdicts})
+    a, b = runs
+    if a.keys() != b.keys():
+        print(
+            f"serve-smoke: {path_a} and {path_b} answer different indices",
+            file=sys.stderr,
+        )
+        return 1
+    for index in sorted(a):
+        for field in ("admitted", "verdicts"):
+            if a[index].get(field) != b[index].get(field):
+                print(
+                    f"serve-smoke: item {index} {field} differs: "
+                    f"{a[index].get(field)!r} vs {b[index].get(field)!r}",
+                    file=sys.stderr,
+                )
+                return 1
+    print(f"serve-smoke: {len(a)} item(s) agree between the two runs")
     return 0
 
 
@@ -302,6 +340,8 @@ def check_ledger(path: str, items: int, expect_torn: bool) -> int:
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "gen" and argv[1].isdigit():
         return gen_batch(int(argv[1]), argv[2])
+    if len(argv) == 3 and argv[0] == "same":
+        return compare_runs(argv[1], argv[2])
     if (
         len(argv) == 4
         and argv[0] in ("verify", "metrics")
@@ -330,7 +370,8 @@ def main(argv: list[str]) -> int:
         "usage: serve_smoke.py gen N BATCH.jsonl | "
         "serve_smoke.py verify VERDICTS.jsonl --items N [--trace-id HEX] | "
         "serve_smoke.py metrics METRICS.txt --items N | "
-        "serve_smoke.py ledger LEDGER.json --items N [--expect-torn]",
+        "serve_smoke.py ledger LEDGER.json --items N [--expect-torn] | "
+        "serve_smoke.py same A.jsonl B.jsonl",
         file=sys.stderr,
     )
     return 2

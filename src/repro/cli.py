@@ -529,11 +529,12 @@ _MEMBERSHIP = {True: "∈", False: "∉", None: "(skipped, computation too large
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Ask :func:`repro.serve.check_document` and render its verdicts."""
+    """Ask :func:`repro.serve.check_object` (serve's per-document check)
+    on the document loaded once here and render its verdicts."""
     from repro.core import Computation, ObserverFunction
     from repro.io import load_document, parse_json
     from repro.models import ZOO
-    from repro.serve import CheckOptions, check_document
+    from repro.serve import CheckOptions, check_object
 
     with open(args.path) as f:
         doc = parse_json(f.read())
@@ -544,7 +545,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
     observer = isinstance(obj, ObserverFunction)
     checks = tuple(m.lower() for m in ZOO) if observer else ("lc", "sc")
-    verdict = check_document(doc, CheckOptions(checks=checks, sc_node_limit=SC_NODE_LIMIT))
+    verdict = check_object(obj, CheckOptions(checks=checks, sc_node_limit=SC_NODE_LIMIT))
     if not verdict["ok"]:
         raise ReproError(verdict["error"])
     verdicts = verdict["verdicts"]

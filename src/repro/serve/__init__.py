@@ -28,6 +28,7 @@ from repro.serve.service import (
     TraceCheckService,
     VerdictCache,
     check_document,
+    check_object,
     parse_request,
     replay_serve_ledger,
     request_fingerprint,
@@ -40,6 +41,7 @@ __all__ = [
     "TraceCheckService",
     "VerdictCache",
     "check_document",
+    "check_object",
     "parse_request",
     "replay_serve_ledger",
     "request_fingerprint",

@@ -21,11 +21,18 @@ blocks.  Larger dags fall back to the exact fingerprint: only identical
 resubmissions dedupe, which is still the dominant case and never
 unsound.
 
-Checking runs in a persistent process pool initialized with the sweep
-engine's heartbeat channel (:func:`repro.runtime.parallel._init_pool_worker`),
-so the installed :class:`~repro.runtime.parallel.SweepMonitor` — and
+Checking runs in a persistent process pool.  A batch's unique items go
+to it as a few chunks (:data:`CHUNKS_PER_JOB` per worker, balanced by
+node count), one pool task each, so the per-task pickling, pipe writes
+and wake-ups are paid per chunk, not per item; results stream back per
+chunk and everything after them (caching, twins, journal records) stays
+per item.  When a :class:`~repro.runtime.parallel.SweepMonitor` is
+installed as the pool starts, the workers are initialized with the
+sweep engine's heartbeat channel
+(:func:`repro.runtime.parallel._init_pool_worker`), so the monitor — and
 through it the ``--journal`` spool and ``--live`` board — sees serve
-workers exactly like sweep workers, stall watchdog included.
+workers exactly like sweep workers, stall watchdog included.  Without a
+monitor there is no channel and a worker's beat is a no-op.
 
 Crash safety: every accepted batch writes a ``serve_batch`` journal
 record, every finished item a ``serve_item``, and every completed batch
@@ -36,6 +43,7 @@ work.
 
 from __future__ import annotations
 
+import heapq
 import os
 import threading
 import time
@@ -62,6 +70,7 @@ __all__ = [
     "TraceCheckService",
     "VerdictCache",
     "check_document",
+    "check_object",
     "parse_request",
     "parse_request_ex",
     "replay_serve_ledger",
@@ -82,6 +91,15 @@ The canonical search tries the cell-respecting relabellings, up to
 twins; the limit caps that worst case.  Past it the fingerprint is
 exact: only identical resubmissions dedupe, never a wrong merge.
 """
+
+CHUNKS_PER_JOB = 2
+"""Pool tasks per worker for one batch's unique items.
+
+Serve items are small, so a task's fixed cost (a pickle and a pipe
+write each way, a wake-up of the dispatch loop) outweighs its check;
+a few tasks per worker amortize it while still letting a worker that
+finishes early take the next chunk.  1, 2 and 4 measure alike
+(EXPERIMENTS.md, "Serve dispatch")."""
 
 _LOADERS = repro_io._LOADERS
 """The :mod:`repro.io` format table itself, not a copy: a patched entry
@@ -231,10 +249,11 @@ def request_fingerprint(
 
     The permutation maps the request's node ids to canonical ids; it is
     the identity whenever the dag is above :data:`CANON_NODE_LIMIT`
-    (exact-match fingerprint).  Two requests share a key **iff** they
-    are isomorphic as constrained, scheduled computations under the same
-    options — so a cache hit is always sound, and witnesses translate
-    through the two permutations.
+    (exact-match fingerprint).  Every key starts ``(kind, node
+    count)``.  Two requests share a key **iff** they are isomorphic as
+    constrained, scheduled computations under the same options — so a
+    cache hit is always sound, and witnesses translate through the two
+    permutations.
     """
     comp, triples, rows = _signature_parts(obj)
     n = comp.num_nodes
@@ -373,6 +392,10 @@ def _serve_heartbeat(items_done: int, elapsed: float) -> None:
 
 _WORKER_ITEMS = 0
 
+_INPUT_ERRORS = (ReproError, ValueError, KeyError, TypeError, IndexError)
+"""What a malformed document may raise while it is loaded or checked:
+the item's ``{"ok": false}`` verdict, not a crash."""
+
 
 def check_document(
     doc: dict, options: CheckOptions, trace: tuple | None = None
@@ -409,12 +432,10 @@ def check_document(
     )
     with activation:
         try:
-            obj = load_document(doc)
-            verdict = _check_object(obj, options)
-        except (ReproError, ValueError, KeyError, TypeError, IndexError) as exc:
+            verdict = check_object(load_document(doc), options)
+        except _INPUT_ERRORS as exc:
             verdict = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        else:
-            verdict["ok"] = True
+        # The load counts towards the item's seconds.
         verdict["seconds"] = round(time.perf_counter() - t0, 6)
         _WORKER_ITEMS += 1
         _serve_heartbeat(_WORKER_ITEMS, verdict["seconds"])
@@ -427,6 +448,62 @@ def check_document(
             "seconds": verdict["seconds"],
         }
     return verdict
+
+
+def check_object(obj: Any, options: CheckOptions) -> dict:
+    """:func:`check_document` on an already loaded document: the same
+    verdict dict, ``seconds`` timing the check alone, with no trace
+    context and no heartbeat."""
+    t0 = time.perf_counter()
+    try:
+        verdict = _check_object(obj, options)
+    except _INPUT_ERRORS as exc:
+        verdict = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    else:
+        verdict["ok"] = True
+    verdict["seconds"] = round(time.perf_counter() - t0, 6)
+    return verdict
+
+
+def _check_chunk(
+    tasks: Sequence[tuple[dict, CheckOptions, tuple | None]]
+) -> list[tuple[dict, bool]]:
+    """:func:`check_document` on each ``(doc, options, trace)`` of one
+    pool task, as ``(verdict, cacheable)`` per item.
+
+    A check that raises past :func:`check_document`'s input errors
+    becomes that item's uncached :func:`_error_verdict`; the rest of
+    the chunk is still checked.
+    """
+    out: list[tuple[dict, bool]] = []
+    for doc, options, trace in tasks:
+        try:
+            out.append((check_document(doc, options, trace), True))
+        except Exception as exc:
+            out.append((_error_verdict(exc), False))
+    return out
+
+
+def _plan_chunks(weights: Sequence[int], jobs: int) -> list[list[int]]:
+    """Positions ``0..len(weights)-1`` split into
+    ``min(len(weights), CHUNKS_PER_JOB * jobs)`` chunks of about equal
+    total weight (node count).
+
+    Greedy: heaviest first, each to the lightest chunk so far (ties to
+    the one with fewer items, then the lower index), so an item heavier
+    than all the others together rides alone.  Each chunk lists its
+    positions in ascending order.
+    """
+    count = min(len(weights), CHUNKS_PER_JOB * max(1, jobs))
+    chunks: list[list[int]] = [[] for _ in range(count)]
+    heap = [(0, 0, c) for c in range(count)]
+    for pos in sorted(range(len(weights)), key=lambda p: -weights[p]):
+        load, size, c = heapq.heappop(heap)
+        chunks[c].append(pos)
+        heapq.heappush(heap, (load + weights[pos], size + 1, c))
+    for chunk in chunks:
+        chunk.sort()
+    return chunks
 
 
 def _error_verdict(exc: Exception) -> dict:
@@ -558,18 +635,26 @@ class _PendingItem:
     options: CheckOptions
     key: tuple | None = None
     perm: tuple[int, ...] = ()
+    nodes: int = 0
     translatable: bool = True
     ctx: TraceContext | None = None
+
+    def task(self) -> tuple[dict, CheckOptions, tuple | None]:
+        """The item's :func:`check_document` arguments."""
+        ctx = self.ctx
+        trace = ctx.as_tuple() if ctx is not None and ctx.sampled else None
+        return self.doc, self.options, trace
 
 
 class TraceCheckService:
     """The long-running batch checker behind ``repro serve``.
 
     Owns a persistent process pool (created lazily, recreated after a
-    crash) whose workers heartbeat over the sweep engine's channel; an
-    installed :class:`~repro.runtime.parallel.SweepMonitor` receives
-    ``on_sweep_start`` / heartbeats / ``on_sweep_done`` per batch plus
-    stall warnings, exactly as for enumeration sweeps.  ``check_batch``
+    crash).  A :class:`~repro.runtime.parallel.SweepMonitor` installed
+    when the pool starts gets its workers' heartbeats over the sweep
+    engine's channel; an installed monitor receives ``on_sweep_start``
+    / heartbeats / ``on_sweep_done`` per batch plus stall warnings,
+    exactly as for enumeration sweeps.  ``check_batch``
     is serialized by an internal lock — concurrent HTTP posts queue up
     rather than interleave on the pool.
 
@@ -609,28 +694,34 @@ class TraceCheckService:
     # -- pool lifecycle -------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The pool, started on first use.
+
+        As in the sweep engine (``parallel._dispatch_pool``), the
+        heartbeat queue exists only when a monitor is installed at pool
+        start, and the worker initializer only when that queue or a
+        profiling run needs it: unmonitored workers send no beats.
+        """
+        from repro.obs import profile as obs_profile
         from repro.runtime.parallel import (
             _init_pool_worker,
+            get_sweep_monitor,
             heartbeat_interval,
         )
 
         if self._pool is None:
-            import multiprocessing
+            if get_sweep_monitor() is not None:
+                import multiprocessing
 
-            interval = heartbeat_interval()
-            try:
-                ctx = multiprocessing.get_context()
-                self._hb_queue = ctx.Queue()
-            except (OSError, ValueError):
-                self._hb_queue = None
-            from repro.obs import profile as obs_profile
-
+                try:
+                    self._hb_queue = multiprocessing.get_context().Queue()
+                except (OSError, ValueError):
+                    self._hb_queue = None
             profile_spec = obs_profile.worker_spec()
             if self._hb_queue is not None or profile_spec is not None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.jobs,
                     initializer=_init_pool_worker,
-                    initargs=(self._hb_queue, interval, profile_spec),
+                    initargs=(self._hb_queue, heartbeat_interval(), profile_spec),
                 )
             else:
                 self._pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -831,6 +922,7 @@ class TraceCheckService:
             try:
                 obj = load_document(doc)
                 item.key, item.perm = request_fingerprint(obj, options)
+                item.nodes = item.key[1]
             except (ReproError, ValueError, TypeError, KeyError) as exc:
                 finish(ItemResult(index, _error_verdict(exc)))
                 continue
@@ -953,16 +1045,9 @@ class TraceCheckService:
             becomes the item's uncached error verdict, exactly as a
             crash in a pool worker does.
             """
-            ctx = pending.ctx
-            trace = (
-                ctx.as_tuple() if ctx is not None and ctx.sampled else None
-            )
-            try:
-                verdict = check_document(pending.doc, pending.options, trace)
-            except Exception as exc:
-                return _error_verdict(exc), False
+            ((verdict, cacheable),) = _check_chunk([pending.task()])
             graft_worker_span(verdict)
-            return verdict, True
+            return verdict, cacheable
 
         def settle(
             item: _PendingItem, verdict: dict, cache: bool = True
@@ -1003,46 +1088,47 @@ class TraceCheckService:
         failed: list[_PendingItem] = []
         try:
             pool = self._ensure_pool()
-            futures = {
-                pool.submit(
-                    check_document,
-                    it.doc,
-                    it.options,
-                    it.ctx.as_tuple()
-                    if it.ctx is not None and it.ctx.sampled
-                    else None,
-                ): it
-                for it in unique
-            }
+            chunks = _plan_chunks([it.nodes for it in unique], self.jobs)
+            futures = {}
+            for chunk in chunks:
+                items = [unique[p] for p in chunk]
+                future = pool.submit(_check_chunk, [it.task() for it in items])
+                futures[future] = items
             pending = set(futures)
-            interval = (
-                monitor.interval if monitor is not None else 1.0
+            # Beats are only worth a wake-up when a queue carries them.
+            timeout = (
+                monitor.interval / 2
+                if monitor is not None and self._hb_queue is not None
+                else None
             )
             while pending:
                 done, pending = wait(
-                    pending,
-                    timeout=interval / 2,
-                    return_when=FIRST_COMPLETED,
+                    pending, timeout=timeout, return_when=FIRST_COMPLETED
                 )
                 if self._hb_queue is not None:
                     _drain_heartbeats(self._hb_queue, monitor)
                     if monitor is not None:
                         monitor.check_stalls()
                 if obs.enabled():
-                    obs.set_gauge("serve.inflight", len(pending))
+                    obs.set_gauge(
+                        "serve.inflight",
+                        sum(len(futures[f]) for f in pending),
+                    )
                 for future in done:
-                    item = futures[future]
+                    items = futures[future]
                     try:
-                        verdict = future.result()
+                        answers = future.result()
                     except BrokenProcessPool:
-                        failed.append(item)
+                        failed.extend(items)
+                        continue
                     except Exception as exc:
-                        # The check itself crashed: this item (and its
-                        # twins) get an error verdict, never cached, and
-                        # the rest of the batch carries on.
-                        settle(item, _error_verdict(exc), cache=False)
-                    else:
-                        settle(item, verdict)
+                        # The task itself failed (say, an unpicklable
+                        # result): its items (and their twins) get an
+                        # error verdict, never cached, and the rest of
+                        # the batch carries on.
+                        answers = [(_error_verdict(exc), False) for _ in items]
+                    for item, (verdict, cacheable) in zip(items, answers):
+                        settle(item, verdict, cache=cacheable)
             # The last items' beats may land after their results.
             if self._hb_queue is not None:
                 _drain_heartbeats(self._hb_queue, monitor)

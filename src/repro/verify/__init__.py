@@ -11,10 +11,10 @@ The entry points take a :class:`~repro.runtime.trace.PartialObserver`
   document → ``True``/``False``/``None``, the SC cap and the budget).
 
 Static analysis lives here too: the exact race sweep
-(:mod:`repro.verify.races`), the near-linear SP-bags detector with
-lockset classification (:mod:`repro.verify.spbags`), the lint engine
-behind ``repro lint`` (re-exported from
-:mod:`repro.analysis.race_rules`).  The incremental LC engine
+(:mod:`repro.verify.races`) and the near-linear SP-bags detector with
+lockset classification (:mod:`repro.verify.spbags`); the lint engine
+behind ``repro lint`` builds on them in
+:mod:`repro.analysis.race_rules`.  The incremental LC engine
 (:class:`StreamingLCVerifier`) both checks completed traces and rides
 inside the executor as a trace sanitizer.
 """
@@ -54,24 +54,6 @@ from repro.verify.spbags import (
 )
 from repro.verify.streaming import StreamingLCVerifier, StreamingViolation
 
-#: The race-lint engine lives in :mod:`repro.analysis.race_rules` (rule
-#: ``RACE001``).  Its names are re-exported lazily: importing any
-#: ``repro.verify`` submodule runs this package __init__, and the
-#: analysis modules import ``repro.verify.races``/``spbags``, so an eager
-#: import here would close an import cycle.
-_LINT_EXPORTS = ("Diagnostic", "LintReport", "lint_computation", "ENGINES")
-
-
-def __getattr__(name: str):
-    if name in _LINT_EXPORTS:
-        from repro.analysis import race_rules
-
-        return getattr(race_rules, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 __all__ = [
     "Admission",
     "admits",
@@ -89,10 +71,6 @@ __all__ = [
     "node_locksets",
     "classify_races",
     "ClassifiedRace",
-    "Diagnostic",
-    "LintReport",
-    "lint_computation",
-    "ENGINES",
     "infer_models",
     "InferenceResult",
     "conformance_campaign",

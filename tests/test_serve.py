@@ -675,6 +675,16 @@ class TestService:
         )
         assert len([hb for hb in seen if hb.get("serve") is True]) == 2
 
+    def test_no_heartbeat_queue_without_a_monitor(self):
+        """With no monitor installed at pool start nobody listens, so
+        the pool gets no heartbeat queue and the batch still checks."""
+        with TraceCheckService(jobs=2) as svc:
+            results = svc.check_batch(
+                lines_for(*(chain_trace(k) for k in range(1, 9)))
+            )
+            assert svc._pool is not None and svc._hb_queue is None
+        assert all(r.verdict["admitted"] for r in results)
+
     def test_zero_capacity_cache_disables_cross_batch_dedupe(self):
         with TraceCheckService(jobs=1, cache_size=0) as svc:
             svc.check_batch(lines_for(good_trace()))
@@ -739,6 +749,184 @@ class TestService:
             assert "serve.check_seconds" in obs.get().histograms
         finally:
             obs.reset()
+
+
+def _smoke_module():
+    """``scripts/serve_smoke.py`` (a script, not a package) as a module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "serve_smoke", REPO / "scripts" / "serve_smoke.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _chunk_of(unique_nodes, jobs, nodes):
+    """Node counts of the chunk that holds the ``nodes``-node item, when
+    a batch's unique items have ``unique_nodes`` nodes in batch order."""
+    from repro.serve.service import _plan_chunks
+
+    for chunk in _plan_chunks(unique_nodes, jobs):
+        members = [unique_nodes[p] for p in chunk]
+        if nodes in members:
+            return members
+    raise AssertionError(f"no chunk holds the {nodes}-node item")
+
+
+class TestChunkedDispatch:
+    """A batch's unique items reach the pool as a few node-balanced
+    chunks; everything downstream of a chunk's answers stays per item."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 40), max_size=60),
+        jobs=st.integers(1, 6),
+    )
+    def test_planner_covers_each_item_once_in_few_chunks(self, weights, jobs):
+        from repro.serve.service import CHUNKS_PER_JOB, _plan_chunks
+
+        chunks = _plan_chunks(weights, jobs)
+        assert sorted(p for c in chunks for p in c) == list(range(len(weights)))
+        assert len(chunks) == min(len(weights), CHUNKS_PER_JOB * jobs)
+        assert all(chunks)
+        assert all(c == sorted(c) for c in chunks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        others=st.lists(st.integers(1, 9), min_size=1, max_size=40),
+        at=st.integers(0, 40),
+        jobs=st.integers(1, 4),
+    )
+    def test_planner_gives_an_oversized_item_its_own_chunk(self, others, at, jobs):
+        from repro.serve.service import _plan_chunks
+
+        at = min(at, len(others))
+        weights = others[:at] + [sum(others) + 1] + others[at:]
+        assert [at] in _plan_chunks(weights, jobs)
+
+    def test_two_workers_answer_like_one(self):
+        """A ~200-item batch (the smoke corpus's chains and relabelled
+        cycles plus distinct long chains) gets the same verdicts,
+        ``cached`` flags and translated witnesses at ``jobs=2`` as at
+        ``jobs=1``, and every fresh verdict is ``check_document``'s."""
+        from repro.serve.service import check_document
+
+        smoke = _smoke_module().batch_lines(168)
+        longs = lines_for(*(chain_trace(k) for k in range(8, 40)))
+        lines = list(smoke)
+        for i, line in enumerate(longs):
+            lines.insert(6 * i + 3, line)
+        assert len(lines) == 200
+
+        def run(jobs):
+            with TraceCheckService(jobs=jobs) as svc:
+                return [
+                    ({k: v for k, v in r.verdict.items() if k != "seconds"}, r.cached)
+                    for r in svc.check_batch(lines)
+                ]
+
+        one, two = run(1), run(2)
+        assert one == two
+        assert sum(cached for _, cached in two) > 100
+        assert any(v.get("witness") for v, _ in two)
+        for line, (verdict, cached) in zip(lines, two):
+            if not cached:
+                expected = check_document(json.loads(line), CheckOptions())
+                del expected["seconds"]
+                assert verdict == expected
+
+    def test_raising_check_leaves_its_chunk_mates_answered_and_cached(
+        self, monkeypatch
+    ):
+        import repro.serve.service as service
+
+        real = service._check_object
+
+        def crash_on_four_nodes(obj, options):
+            if obj.comp.num_nodes == 4:
+                raise RuntimeError("checker bug")
+            return real(obj, options)
+
+        # Patched before the first batch forks the pool.
+        monkeypatch.setattr(service, "_check_object", crash_on_four_nodes)
+        traces = [chain_trace(k) for k in range(1, 7)]  # 2..7 nodes
+        assert len(_chunk_of([k + 1 for k in range(1, 7)], 1, 4)) > 1
+        with TraceCheckService(jobs=1) as svc:
+            results = svc.check_batch(lines_for(*traces))
+            cached = len(svc.cache)
+            again = svc.check_batch(lines_for(*traces))
+        for trace, item, repeat in zip(traces, results, again):
+            if trace.comp.num_nodes == 4:
+                assert item.verdict["error"] == "RuntimeError: checker bug"
+                assert not repeat.cached
+            else:
+                assert item.verdict["ok"] and item.verdict["admitted"]
+                assert repeat.cached
+        assert cached == 5
+
+    def test_worker_death_retries_every_chunk_mate_in_process(
+        self, monkeypatch
+    ):
+        import repro.serve.service as service
+
+        real = service._check_object
+        parent = os.getpid()
+        checked_here = []
+
+        def die_in_worker_on_four_nodes(obj, options):
+            if os.getpid() == parent:
+                checked_here.append(obj.comp.num_nodes)
+            elif obj.comp.num_nodes == 4:
+                os._exit(1)  # a dying worker breaks the pool
+            return real(obj, options)
+
+        # Patched before the first batch forks the pool.
+        monkeypatch.setattr(service, "_check_object", die_in_worker_on_four_nodes)
+        traces = [chain_trace(k) for k in range(1, 7)]
+        mates = _chunk_of([k + 1 for k in range(1, 7)], 1, 4)
+        assert len(mates) > 1
+        with TraceCheckService(jobs=1) as svc:
+            results = svc.check_batch(lines_for(*traces))
+            cached = len(svc.cache)
+        assert all(r.verdict["ok"] and r.verdict["admitted"] for r in results)
+        assert set(mates) <= set(checked_here)
+        assert cached == 6
+
+    def test_inflight_gauge_counts_items_not_chunks(self, monkeypatch):
+        import repro.serve.service as service
+
+        real = service._check_object
+
+        def slow(obj, options):
+            time.sleep(0.01)
+            return real(obj, options)
+
+        monkeypatch.setattr(service, "_check_object", slow)
+        gauges = []
+        real_gauge = obs.set_gauge
+
+        def record(name, value, *args, **kwargs):
+            if name == "serve.inflight":
+                gauges.append(value)
+            return real_gauge(name, value, *args, **kwargs)
+
+        monkeypatch.setattr(obs, "set_gauge", record)
+        traces = [chain_trace(k) for k in range(1, 21)]
+        chunks = service._plan_chunks([t.comp.num_nodes for t in traces], 1)
+        sizes = {len(c) for c in chunks}
+        assert min(sizes) > len(chunks)  # item counts cannot pass for chunk counts
+        obs.reset()
+        obs.enable()
+        try:
+            with TraceCheckService(jobs=1) as svc:
+                svc.check_batch(lines_for(*traces))
+        finally:
+            obs.reset()
+        assert gauges[-1] == 0
+        assert set(gauges) <= sizes | {0, len(traces)}
+        assert sizes & set(gauges)
 
 
 # ---------------------------------------------------------------------------
