@@ -790,6 +790,7 @@ class TestChunkedDispatch:
         chunks = _plan_chunks(weights, jobs)
         assert sorted(p for c in chunks for p in c) == list(range(len(weights)))
         assert len(chunks) == min(len(weights), CHUNKS_PER_JOB * jobs)
+        assert len(chunks) <= 2 * jobs
         assert all(chunks)
         assert all(c == sorted(c) for c in chunks)
 
