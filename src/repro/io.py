@@ -34,7 +34,7 @@ from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction
 from repro.core.ops import N, Op, R, W, Location
 from repro.dag.digraph import Dag
-from repro.errors import ReproError
+from repro.errors import InvalidObserverError, ReproError
 from repro.runtime.scheduler import Schedule
 from repro.runtime.trace import ExecutionTrace, PartialObserver, ReadEvent
 
@@ -232,7 +232,12 @@ def dump_trace(trace: ExecutionTrace) -> dict:
 
 
 def load_trace(data: dict) -> ExecutionTrace:
-    """Decode :func:`dump_trace` output (re-validates the schedule)."""
+    """Decode :func:`dump_trace` output.
+
+    Re-validates the schedule, and the reads against Definition 2: a
+    read that observes a non-write of its location, or a write it
+    precedes, is a :class:`FormatError`.  The partial observer built to
+    check that stays on the trace for the checkers to reuse."""
     _check_header(data, "repro/trace")
     comp = load_computation(data["computation"])
     proc_of, start_of = tuple(data["proc_of"]), tuple(data["start_of"])
@@ -244,6 +249,10 @@ def load_trace(data: dict) -> ExecutionTrace:
         node = _decode_node(e["node"], comp)
         observed = None if e["observed"] is None else _decode_node(e["observed"], comp)
         trace.reads.append(ReadEvent(node, _decode_location(e["loc"]), observed))
+    try:
+        trace.partial_observer()
+    except InvalidObserverError as exc:
+        raise FormatError(f"invalid read in trace: {exc}") from None
     return trace
 
 

@@ -49,9 +49,21 @@ class ExecutionTrace:
     memory_name: str
     reads: list[ReadEvent] = field(default_factory=list)
     violation: "StreamingViolation | None" = None
+    #: The last :meth:`partial_observer` and the reads it was built from.
+    _observer: "tuple[list[ReadEvent], PartialObserver] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def partial_observer(self) -> "PartialObserver":
-        """The partial observer function this trace determines."""
+        """The partial observer function this trace determines.
+
+        Built once and reused for as long as ``reads`` is unchanged; a
+        trace whose reads are still being appended (or cut short) gets a
+        fresh one.  Raises :class:`~repro.errors.InvalidObserverError`
+        when a read breaks Definition 2."""
+        cached = self._observer
+        if cached is not None and cached[0] == self.reads:
+            return cached[1]
         constraints: dict[Location, dict[int, int | None]] = {}
         for ev in self.reads:
             constraints.setdefault(ev.loc, {})[ev.node] = ev.observed
@@ -60,7 +72,9 @@ class ExecutionTrace:
             op = self.comp.op(u)
             if op.is_write:
                 constraints.setdefault(op.loc, {})[u] = u
-        return PartialObserver(self.comp, constraints)
+        observer = PartialObserver(self.comp, constraints)
+        self._observer = (list(self.reads), observer)
+        return observer
 
 
 class PartialObserver:

@@ -3,18 +3,18 @@
 The paper's computation-centric framing makes trace checking
 embarrassingly batchable: every request is a self-contained
 ``(computation, observer constraints)`` pair, so a long-running service
-can fan thousands of machine-generated litmus traces out to a process
-pool and answer each independently (SNIPPETS.md's axe workload — "check
+can fan thousands of machine-generated litmus traces out to worker
+processes and answer each independently (SNIPPETS.md's axe workload — "check
 millions of generated traces against the model" — is the shape this
 package serves).
 
 Layering:
 
 * :mod:`repro.serve.service` — the engine: request parsing and
-  canonical fingerprinting, the bounded LRU verdict cache, the
-  process-pool dispatch loop (heartbeats + stall watchdog reused from
-  :mod:`repro.runtime.parallel`), journal records, and the
-  SIGKILL-replay ledger.
+  canonical fingerprinting (both done in the workers), the bounded LRU
+  verdict cache, the two-round-trip worker dispatch (heartbeats + stall
+  watchdog reused from :mod:`repro.runtime.parallel`), journal records,
+  and the SIGKILL-replay ledger.
 * :mod:`repro.serve.http` — the asyncio front-end: JSONL over HTTP
   with streamed verdicts, graceful SIGTERM/SIGINT drain, and the
   offline ``--input FILE`` batch mode.

@@ -16,14 +16,14 @@ deliberately small —
 * ``GET /healthz`` — liveness plus service counters and verdict-cache
   occupancy as JSON.
 
-Checking itself runs in a worker thread (the service's process-pool
-dispatch loop is blocking); verdicts hop back onto the event loop
+Checking itself runs in a worker thread (the service's dispatch to its
+worker processes is blocking); verdicts hop back onto the event loop
 through ``call_soon_threadsafe``, so one slow batch never blocks other
 connections' accepts.
 
 Graceful shutdown: SIGTERM/SIGINT stop the listener, let every
 in-flight request run to completion (the drain the ISSUE requires —
-accepted work is never abandoned), then close the pool and return.
+accepted work is never abandoned), then stop the workers and return.
 The crash-safe journal plus :func:`repro.serve.service.replay_serve_ledger`
 covers the impolite case (SIGKILL).
 """

@@ -21,14 +21,22 @@ blocks.  Larger dags fall back to the exact fingerprint: only identical
 resubmissions dedupe, which is still the dominant case and never
 unsound.
 
-Checking runs in a persistent process pool.  A batch's unique items go
-to it as a few chunks (:data:`CHUNKS_PER_JOB` per worker, balanced by
-node count), one pool task each, so the per-task pickling, pipe writes
-and wake-ups are paid per chunk, not per item; results stream back per
-chunk and everything after them (caching, twins, journal records) stays
-per item.  When a :class:`~repro.runtime.parallel.SweepMonitor` is
-installed as the pool starts, the workers are initialized with the
-sweep engine's heartbeat channel
+Checking runs in ``jobs`` persistent worker processes, each with its
+own pipe, and a batch takes two round trips to them.  In the
+*fingerprint* phase the parent splits the batch's raw lines among the
+workers, balanced by line length; each worker parses, loads and
+fingerprints its share (:class:`_ItemStore`), keeps the loaded objects
+and sends back only each item's cache key, canonical permutation and
+envelope trace field, or its one-line error.  The parent does all the
+dedupe work — cache lookups, twin lists, witness remapping, journal
+records — and in the *check* phase asks each worker to check the
+unique items it already holds.  So each item is loaded once, by the
+worker that checks it; the parent only routes, dedupes and caches.  A
+worker that dies never loses accepted work: the parent redoes its
+unanswered items in-process and starts a replacement for the next
+batch.  When a :class:`~repro.runtime.parallel.SweepMonitor` is
+installed as the workers start, they are initialized with the sweep
+engine's heartbeat channel
 (:func:`repro.runtime.parallel._init_pool_worker`), so the monitor — and
 through it the ``--journal`` spool and ``--live`` board — sees serve
 workers exactly like sweep workers, stall watchdog included.  Without a
@@ -44,15 +52,15 @@ work.
 from __future__ import annotations
 
 import heapq
+import multiprocessing
 import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from multiprocessing import connection as mp_connection
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.dag.canon import canonical_labelling
@@ -92,15 +100,6 @@ twins; the limit caps that worst case.  Past it the fingerprint is
 exact: only identical resubmissions dedupe, never a wrong merge.
 """
 
-CHUNKS_PER_JOB = 2
-"""Pool tasks per worker for one batch's unique items.
-
-Serve items are small, so a task's fixed cost (a pickle and a pipe
-write each way, a wake-up of the dispatch loop) outweighs its check;
-a few tasks per worker amortize it while still letting a worker that
-finishes early take the next chunk.  1, 2 and 4 measure alike
-(EXPERIMENTS.md, "Serve dispatch")."""
-
 _LOADERS = repro_io._LOADERS
 """The :mod:`repro.io` format table itself, not a copy: a patched entry
 (perfbench's ``serve.load`` layer patches them) reaches every load."""
@@ -117,7 +116,7 @@ class CheckOptions:
     ``checks`` picks among :data:`KNOWN_CHECKS`; ``sc`` is skipped
     (verdict ``null``) on documents above ``sc_node_limit`` nodes — the
     SC decision is exponential and a service must not let one oversized
-    request starve the pool.  ``sanitize`` replays traces through
+    request starve the workers.  ``sanitize`` replays traces through
     :meth:`repro.verify.streaming.StreamingLCVerifier.collect_violations`;
     ``rules`` names :mod:`repro.analysis` rule ids/prefixes to run per
     item.
@@ -371,13 +370,13 @@ class VerdictCache:
 
 
 # ----------------------------------------------------------------------
-# The per-document checker (runs in pool workers)
+# The per-document checker (runs in the serve workers)
 # ----------------------------------------------------------------------
 
 
 def _serve_heartbeat(items_done: int, elapsed: float) -> None:
     """Emit a worker heartbeat over the sweep engine's channel, if one
-    was installed by the pool initializer (silently optional)."""
+    was installed when the worker started (silently optional)."""
     from repro.runtime import parallel
 
     parallel._emit_heartbeat(
@@ -397,17 +396,27 @@ _INPUT_ERRORS = (ReproError, ValueError, KeyError, TypeError, IndexError)
 the item's ``{"ok": false}`` verdict, not a crash."""
 
 
+def _describe(exc: BaseException) -> str:
+    """The one-line error text of an item's verdict."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _error_verdict(error: str) -> dict:
+    """The verdict of an item whose parse, load or check raised."""
+    return {"ok": False, "error": error, "seconds": 0.0}
+
+
 def check_document(
     doc: dict, options: CheckOptions, trace: tuple | None = None
 ) -> dict:
-    """Check one document; the picklable unit of pool work.
+    """Load and check one document; what a serve worker does per item.
 
     Returns a verdict dict (see the README protocol section): always
     ``ok`` and ``seconds``; on success ``kind``, per-check ``verdicts``
     (``true``/``false``/``null`` = skipped), the conjunction
     ``admitted``, and any ``witness`` / ``sc_witness`` / ``sanitizer``
     / ``findings`` payloads.  Malformed documents come back as
-    ``{"ok": false, "error": ...}`` — a worker never raises for bad
+    ``{"ok": false, "error": ...}`` — the check never raises for bad
     input, so one poisoned item cannot break its batch.
 
     ``trace`` is the item's propagated context as a
@@ -417,26 +426,38 @@ def check_document(
     below carries the trace id — and the verdict gains a transient
     ``_worker_span`` payload identifying this process's execution; the
     parent pops it before caching/streaming and grafts it into the
-    live trace, which is how a request's span tree crosses the pool's
-    fork boundary.
+    live trace, which is how a request's span tree crosses the fork
+    boundary to the workers.
     """
+    return _check_traced(
+        lambda: load_document(doc), options, trace, time.perf_counter()
+    )
+
+
+def _check_traced(
+    load: Callable[[], Any],
+    options: CheckOptions,
+    trace: tuple | None,
+    started: float,
+) -> dict:
+    """:func:`check_document` on whatever ``load()`` returns, with
+    ``seconds`` counted from ``started`` (so a load done earlier can
+    still count towards the item's seconds)."""
     global _WORKER_ITEMS
     ctx: TraceContext | None = None
     if trace is not None:
         ctx = TraceContext.from_tuple(trace)
         if not ctx.sampled:
             ctx = None
-    t0 = time.perf_counter()
     activation = (
         trace_context.activate(ctx) if ctx is not None else nullcontext()
     )
     with activation:
         try:
-            verdict = check_object(load_document(doc), options)
+            verdict = check_object(load(), options)
         except _INPUT_ERRORS as exc:
-            verdict = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        # The load counts towards the item's seconds.
-        verdict["seconds"] = round(time.perf_counter() - t0, 6)
+            verdict = {"ok": False, "error": _describe(exc)}
+        verdict["seconds"] = round(time.perf_counter() - started, 6)
         _WORKER_ITEMS += 1
         _serve_heartbeat(_WORKER_ITEMS, verdict["seconds"])
     if ctx is not None:
@@ -458,57 +479,11 @@ def check_object(obj: Any, options: CheckOptions) -> dict:
     try:
         verdict = _check_object(obj, options)
     except _INPUT_ERRORS as exc:
-        verdict = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        verdict = {"ok": False, "error": _describe(exc)}
     else:
         verdict["ok"] = True
     verdict["seconds"] = round(time.perf_counter() - t0, 6)
     return verdict
-
-
-def _check_chunk(
-    tasks: Sequence[tuple[dict, CheckOptions, tuple | None]]
-) -> list[tuple[dict, bool]]:
-    """:func:`check_document` on each ``(doc, options, trace)`` of one
-    pool task, as ``(verdict, cacheable)`` per item.
-
-    A check that raises past :func:`check_document`'s input errors
-    becomes that item's uncached :func:`_error_verdict`; the rest of
-    the chunk is still checked.
-    """
-    out: list[tuple[dict, bool]] = []
-    for doc, options, trace in tasks:
-        try:
-            out.append((check_document(doc, options, trace), True))
-        except Exception as exc:
-            out.append((_error_verdict(exc), False))
-    return out
-
-
-def _plan_chunks(weights: Sequence[int], jobs: int) -> list[list[int]]:
-    """Positions ``0..len(weights)-1`` split into
-    ``min(len(weights), CHUNKS_PER_JOB * jobs)`` chunks of about equal
-    total weight (node count).
-
-    Greedy: heaviest first, each to the lightest chunk so far (ties to
-    the one with fewer items, then the lower index), so an item heavier
-    than all the others together rides alone.  Each chunk lists its
-    positions in ascending order.
-    """
-    count = min(len(weights), CHUNKS_PER_JOB * max(1, jobs))
-    chunks: list[list[int]] = [[] for _ in range(count)]
-    heap = [(0, 0, c) for c in range(count)]
-    for pos in sorted(range(len(weights)), key=lambda p: -weights[p]):
-        load, size, c = heapq.heappop(heap)
-        chunks[c].append(pos)
-        heapq.heappush(heap, (load + weights[pos], size + 1, c))
-    for chunk in chunks:
-        chunk.sort()
-    return chunks
-
-
-def _error_verdict(exc: Exception) -> dict:
-    """The verdict of an item whose parse, load or check raised."""
-    return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "seconds": 0.0}
 
 
 def _check_object(obj: Any, options: CheckOptions) -> dict:
@@ -593,6 +568,180 @@ def _run_rules(comp: Any, trace: Any, options: CheckOptions) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
+# The serve workers
+# ----------------------------------------------------------------------
+
+
+class _ItemStore:
+    """One process's share of a batch: the loaded documents it will check.
+
+    :meth:`fingerprint` parses, loads and fingerprints request lines and
+    keeps each loaded object; :meth:`check` checks held objects, so an
+    item is loaded once for both.  Each serve worker owns a store, and
+    the parent owns one for the items it redoes in-process (a dead
+    worker's share, a relabelled twin whose payload cannot be
+    translated).
+    """
+
+    def __init__(self) -> None:
+        self._held: dict[int, tuple[Any, CheckOptions, float]] = {}
+
+    def clear(self) -> None:
+        self._held.clear()
+
+    def fingerprint(
+        self, defaults: CheckOptions, lines: Iterable[tuple[int, str]]
+    ) -> list[tuple]:
+        """Per ``(index, line)``: ``(index, error, key, perm,
+        translatable, envelope trace)``.  ``error`` is ``None`` when the
+        item loaded and is now held, else the item's one-line error."""
+        out: list[tuple] = []
+        for index, line in lines:
+            env_trace = None
+            try:
+                doc, options, env_trace = parse_request_ex(line, defaults)
+                t0 = time.perf_counter()
+                obj = load_document(doc)
+                loaded = time.perf_counter() - t0
+                key, perm = request_fingerprint(obj, options)
+            except Exception as exc:
+                out.append((index, _describe(exc), None, (), False, env_trace))
+                continue
+            self._held[index] = (obj, options, loaded)
+            # Witness translation across relabelled twins covers the
+            # core verdict payload only; sanitizer/analysis output
+            # embeds ids in prose, so those items dedupe exactly.
+            translatable = not (options.sanitize or options.rules)
+            out.append((index, None, key, perm, translatable, env_trace))
+        return out
+
+    def check(
+        self, requests: Iterable[tuple[int, tuple | None]]
+    ) -> list[tuple[int, dict, bool]]:
+        """Per ``(index, trace context)``: ``(index, verdict,
+        cacheable)`` of the held item, which is then dropped.
+
+        A check that raises past :func:`check_document`'s input errors
+        becomes that item's uncached error verdict; the other items are
+        still checked."""
+        out: list[tuple[int, dict, bool]] = []
+        for index, trace in requests:
+            try:
+                obj, options, loaded = self._held.pop(index)
+                started = time.perf_counter() - loaded
+                verdict = _check_traced(lambda: obj, options, trace, started)
+            except Exception as exc:
+                out.append((index, _error_verdict(_describe(exc)), False))
+            else:
+                out.append((index, verdict, True))
+        return out
+
+
+def _serve_worker(
+    conn: Any,
+    inherited: Sequence[Any],
+    hb_queue: Any,
+    interval: float,
+    profile_spec: dict | None,
+) -> None:
+    """A serve worker's loop: answer the parent's ``("fingerprint",
+    (defaults, lines))`` and ``("check", requests)`` messages from one
+    :class:`_ItemStore` until it sends ``None`` or goes away.
+
+    ``inherited`` are parent-side pipe ends this process got by fork;
+    closing them lets every worker see end-of-file when the parent
+    dies."""
+    for other in inherited:
+        other.close()
+    trace_context.set_current(None)
+    if hb_queue is not None or profile_spec is not None:
+        from repro.runtime.parallel import _init_pool_worker
+
+        _init_pool_worker(hb_queue, interval, profile_spec)
+    store = _ItemStore()
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            return
+        op, args = message
+        if op == "fingerprint":
+            # A new batch: drop what the last one left unchecked.
+            store.clear()
+            conn.send(store.fingerprint(*args))
+        else:
+            conn.send(store.check(args))
+
+
+class _Worker:
+    """One serve worker process and the parent's end of its pipe."""
+
+    def __init__(
+        self,
+        inherited: Sequence[Any],
+        hb_queue: Any,
+        interval: float,
+        profile_spec: dict | None,
+    ) -> None:
+        # The platform's default start method, as the sweep's pool uses:
+        # a forked worker starts in milliseconds with the parent's
+        # modules, where a spawned one would import them all again.
+        mp = multiprocessing.get_context()
+        self.conn, child = mp.Pipe()
+        self.process = mp.Process(
+            target=_serve_worker,
+            args=(
+                child,
+                (*inherited, self.conn),
+                hb_queue,
+                interval,
+                profile_spec,
+            ),
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+
+    def stop(self, graceful: bool = True) -> None:
+        """End the process and reap it: asked to exit when ``graceful``
+        (it is idle between batches), else terminated."""
+        if graceful:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+            self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+def _plan_shares(weights: Sequence[int], jobs: int) -> list[list[int]]:
+    """Positions ``0..len(weights)-1`` split into
+    ``min(len(weights), jobs)`` shares of about equal total weight (a
+    request line's length).
+
+    Greedy: heaviest first, each to the lightest share so far (ties to
+    the one with fewer items, then the lower index), so an item heavier
+    than all the others together rides alone.  Each share lists its
+    positions in ascending order.
+    """
+    count = min(len(weights), max(1, jobs))
+    shares: list[list[int]] = [[] for _ in range(count)]
+    heap = [(0, 0, c) for c in range(count)]
+    for pos in sorted(range(len(weights)), key=lambda p: -weights[p]):
+        load, size, c = heapq.heappop(heap)
+        shares[c].append(pos)
+        heapq.heappush(heap, (load + weights[pos], size + 1, c))
+    for share in shares:
+        share.sort()
+    return shares
+
+
+# ----------------------------------------------------------------------
 # The batch service
 # ----------------------------------------------------------------------
 
@@ -630,33 +779,35 @@ class ItemResult:
 
 @dataclass
 class _PendingItem:
-    index: int
-    doc: dict
-    options: CheckOptions
-    key: tuple | None = None
-    perm: tuple[int, ...] = ()
-    nodes: int = 0
-    translatable: bool = True
-    ctx: TraceContext | None = None
+    """A fingerprinted item awaiting its verdict.  ``holder`` is the
+    worker that loaded it, ``None`` when this process holds it."""
 
-    def task(self) -> tuple[dict, CheckOptions, tuple | None]:
-        """The item's :func:`check_document` arguments."""
-        ctx = self.ctx
-        trace = ctx.as_tuple() if ctx is not None and ctx.sampled else None
-        return self.doc, self.options, trace
+    index: int
+    line: str
+    key: tuple
+    perm: tuple[int, ...]
+    translatable: bool
+    holder: "_Worker | None"
+    ctx: TraceContext
+
+    def trace(self) -> tuple | None:
+        """The item's context as sent to its check (``None`` when
+        unsampled)."""
+        return self.ctx.as_tuple() if self.ctx.sampled else None
 
 
 class TraceCheckService:
     """The long-running batch checker behind ``repro serve``.
 
-    Owns a persistent process pool (created lazily, recreated after a
-    crash).  A :class:`~repro.runtime.parallel.SweepMonitor` installed
-    when the pool starts gets its workers' heartbeats over the sweep
-    engine's channel; an installed monitor receives ``on_sweep_start``
-    / heartbeats / ``on_sweep_done`` per batch plus stall warnings,
-    exactly as for enumeration sweeps.  ``check_batch``
-    is serialized by an internal lock — concurrent HTTP posts queue up
-    rather than interleave on the pool.
+    Owns ``jobs`` persistent worker processes (started lazily; one that
+    dies is replaced before the next batch).  A
+    :class:`~repro.runtime.parallel.SweepMonitor` installed when the
+    workers start gets their heartbeats over the sweep engine's
+    channel; an installed monitor receives ``on_sweep_start`` /
+    heartbeats / ``on_sweep_done`` per batch plus stall warnings,
+    exactly as for enumeration sweeps.  ``check_batch`` is serialized
+    by an internal lock — concurrent HTTP posts queue up rather than
+    interleave on the workers.
 
     ``clear_caches_every=N`` calls
     :func:`repro.runtime.parallel.clear_sweep_caches` after every N
@@ -688,50 +839,51 @@ class TraceCheckService:
         self.items = 0
         self.errors = 0
         self._lock = threading.Lock()
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: list[_Worker] | None = None
         self._hb_queue: Any | None = None
+        self._profile_spec: dict | None = None
+        #: What this process holds of the current batch (see _ItemStore).
+        self._local = _ItemStore()
 
-    # -- pool lifecycle -------------------------------------------------
+    # -- worker lifecycle -----------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The pool, started on first use.
+    def _ensure_pool(self) -> list[_Worker]:
+        """The workers, started on first use and topped up after one died.
 
         As in the sweep engine (``parallel._dispatch_pool``), the
-        heartbeat queue exists only when a monitor is installed at pool
-        start, and the worker initializer only when that queue or a
-        profiling run needs it: unmonitored workers send no beats.
+        heartbeat queue exists only when a monitor is installed as the
+        workers first start, and the worker initializer runs only when
+        that queue or a profiling run needs it: unmonitored workers
+        send no beats.
         """
         from repro.obs import profile as obs_profile
-        from repro.runtime.parallel import (
-            _init_pool_worker,
-            get_sweep_monitor,
-            heartbeat_interval,
-        )
+        from repro.runtime.parallel import get_sweep_monitor, heartbeat_interval
 
         if self._pool is None:
+            self._pool = []
             if get_sweep_monitor() is not None:
-                import multiprocessing
-
                 try:
                     self._hb_queue = multiprocessing.get_context().Queue()
                 except (OSError, ValueError):
                     self._hb_queue = None
-            profile_spec = obs_profile.worker_spec()
-            if self._hb_queue is not None or profile_spec is not None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_init_pool_worker,
-                    initargs=(self._hb_queue, heartbeat_interval(), profile_spec),
+            self._profile_spec = obs_profile.worker_spec()
+        while len(self._pool) < self.jobs:
+            self._pool.append(
+                _Worker(
+                    [w.conn for w in self._pool],
+                    self._hb_queue,
+                    heartbeat_interval(),
+                    self._profile_spec,
                 )
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            )
         return self._pool
 
-    def _teardown_pool(self) -> None:
+    def _teardown_pool(self, graceful: bool = True) -> None:
         from repro.runtime.parallel import _drain_heartbeats, get_sweep_monitor
 
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            for worker in self._pool:
+                worker.stop(graceful)
             self._pool = None
         if self._hb_queue is not None:
             # Beats still queued when the workers exited are delivered,
@@ -741,8 +893,54 @@ class TraceCheckService:
             self._hb_queue.cancel_join_thread()
             self._hb_queue = None
 
+    def _lost(self, worker: _Worker) -> None:
+        """Reap a worker that died mid-batch and drop it from the pool."""
+        if self._pool is not None and worker in self._pool:
+            self._pool.remove(worker)
+        worker.stop(graceful=False)
+        obs.warning(
+            "serve worker died mid-batch; redoing its items in-process",
+            pid=worker.process.pid,
+        )
+
+    def _exchange(
+        self, messages: dict[_Worker, Any], monitor: Any
+    ) -> Iterator[tuple[_Worker, Any]]:
+        """Send each worker its message and yield ``(worker, reply)`` as
+        the replies land; the reply is ``None`` for a worker that died
+        (it is reaped and dropped from the pool).  While waiting, with a
+        ``monitor`` given, the heartbeat queue is drained into it and its
+        stall watchdog runs."""
+        from repro.runtime.parallel import _drain_heartbeats
+
+        pending: dict[Any, _Worker] = {}
+        for worker, message in messages.items():
+            try:
+                worker.conn.send(message)
+            except OSError:
+                self._lost(worker)
+                yield worker, None
+                continue
+            pending[worker.conn] = worker
+        # Beats are only worth a wake-up when a queue carries them.
+        watch = monitor is not None and self._hb_queue is not None
+        timeout = monitor.interval / 2 if watch else None
+        while pending:
+            ready = mp_connection.wait(list(pending), timeout)
+            if watch:
+                _drain_heartbeats(self._hb_queue, monitor)
+                monitor.check_stalls()
+            for conn in ready:
+                worker = pending.pop(conn)
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    self._lost(worker)
+                    reply = None
+                yield worker, reply
+
     def close(self) -> None:
-        """Drain and shut the pool down (idempotent)."""
+        """Stop and reap the workers (idempotent)."""
         with self._lock:
             self._teardown_pool()
 
@@ -775,7 +973,7 @@ class TraceCheckService:
         """Check one batch of JSONL request lines.
 
         Results stream to ``on_result`` in completion order (dedupe
-        hits and parse errors first, pool completions as they land) and
+        hits and parse errors first, worker answers as they land) and
         come back as a list sorted by batch index.  The journal gets
         one ``serve_batch`` record up front — before any work, so a
         SIGKILL mid-batch still replays to "batch N accepted, K of M
@@ -848,7 +1046,7 @@ class TraceCheckService:
         done_count = 0
         # Every item gets its own context — span_id doubles as the
         # request id — minted up front so parse errors, dedupe hits and
-        # pool completions all echo ids on exactly the same terms.
+        # checked items all echo ids on exactly the same terms.
         item_ctxs: dict[int, TraceContext] = {}
 
         def finish(item: ItemResult) -> None:
@@ -894,50 +1092,52 @@ class TraceCheckService:
             if on_result is not None:
                 on_result(item)
 
-        # Phase 1: parse, fingerprint, dedupe.  ``waiting`` maps a
-        # fingerprint to the items riding on its first occurrence.
-        unique: list[_PendingItem] = []
-        waiting: dict[tuple, list[_PendingItem]] = {}
-        for index, line in enumerate(requests):
-            item_ctxs[index] = base_ctx.child()
-            try:
-                doc, options, env_trace = parse_request_ex(
-                    line, self.options
+        try:
+            # Phase 1: the workers parse, load and fingerprint; the
+            # parent dedupes.  ``waiting`` maps a fingerprint to the
+            # items riding on its first occurrence.
+            unique: list[_PendingItem] = []
+            waiting: dict[tuple, list[_PendingItem]] = {}
+            for index, (holder, reply) in enumerate(self._fingerprint(requests)):
+                _, error, key, perm, translatable, env_trace = reply
+                item_ctxs[index] = base_ctx.child()
+                if env_trace is not None:
+                    # A per-item traceparent overrides the batch context:
+                    # this item's span joins the caller's own trace.
+                    env_ctx = trace_context.parse_traceparent(env_trace)
+                    if env_ctx is not None:
+                        item_ctxs[index] = env_ctx.child()
+                if error is not None:
+                    finish(ItemResult(index, _error_verdict(error)))
+                    continue
+                item = _PendingItem(
+                    index,
+                    requests[index],
+                    key,
+                    perm,
+                    translatable,
+                    holder,
+                    item_ctxs[index],
                 )
-            except (ReproError, ValueError, TypeError) as exc:
-                finish(ItemResult(index, _error_verdict(exc)))
-                continue
-            if env_trace is not None:
-                # A per-item traceparent overrides the batch context:
-                # this item's span joins the caller's own trace.
-                env_ctx = trace_context.parse_traceparent(env_trace)
-                if env_ctx is not None:
-                    item_ctxs[index] = env_ctx.child()
-            item = _PendingItem(index, doc, options)
-            item.ctx = item_ctxs[index]
-            # Witness translation across relabelled twins covers the
-            # core verdict payload only; sanitizer/analysis output
-            # embeds ids in prose, so those items dedupe exactly.
-            item.translatable = not (options.sanitize or options.rules)
-            try:
-                obj = load_document(doc)
-                item.key, item.perm = request_fingerprint(obj, options)
-                item.nodes = item.key[1]
-            except (ReproError, ValueError, TypeError, KeyError) as exc:
-                finish(ItemResult(index, _error_verdict(exc)))
-                continue
-            entry = self.cache.get(item.key)
-            if entry is not None and self._serve_hit(entry, item, finish):
-                continue
-            if item.key in waiting:
-                waiting[item.key].append(item)
-                continue
-            waiting[item.key] = []
-            unique.append(item)
+                entry = self.cache.get(key)
+                if entry is not None and self._serve_hit(entry, item, finish):
+                    continue
+                if key in waiting:
+                    waiting[key].append(item)
+                    continue
+                waiting[key] = []
+                unique.append(item)
 
-        # Phase 2: fan the unique survivors out to the pool.
-        if unique:
-            self._dispatch(unique, waiting, finish, label)
+            # Phase 2: each unique survivor is checked where it is held.
+            if unique:
+                self._dispatch(unique, waiting, finish, label)
+        except BaseException:
+            # Workers may still be busy with this batch: never let their
+            # replies reach the next one.
+            self._teardown_pool(graceful=False)
+            raise
+        finally:
+            self._local.clear()
 
         wall = time.perf_counter() - t0
         self._record(
@@ -995,6 +1195,40 @@ class TraceCheckService:
         )
         return True
 
+    def _fingerprint(
+        self, requests: list[str]
+    ) -> list[tuple[_Worker | None, tuple]]:
+        """Each request line's holder and :meth:`_ItemStore.fingerprint`
+        reply, in batch order.  The lines are split among the workers by
+        length; a worker that dies has its share redone here.  Workers
+        beat per check, so this phase has no stall watch."""
+        if not requests:
+            return []
+        workers = self._ensure_pool()
+        shares = _plan_shares([len(line) for line in requests], len(workers))
+        messages = {
+            worker: ("fingerprint", (self.options, [(i, requests[i]) for i in share]))
+            for worker, share in zip(workers, shares)
+        }
+        out: list[Any] = [None] * len(requests)
+        for worker, replies in self._exchange(messages, None):
+            holder: _Worker | None = worker
+            if replies is None:
+                holder = None
+                replies = self._local.fingerprint(*messages[worker][1])
+            for reply in replies:
+                out[reply[0]] = (holder, reply)
+        return out
+
+    def _check_here(
+        self, items: Sequence[_PendingItem]
+    ) -> list[tuple[int, dict, bool]]:
+        """Load and check ``items`` in this process."""
+        self._local.fingerprint(
+            self.options, [(it.index, it.line) for it in items]
+        )
+        return self._local.check([(it.index, it.trace()) for it in items])
+
     def _dispatch(
         self,
         unique: list[_PendingItem],
@@ -1038,114 +1272,64 @@ class TraceCheckService:
                 )
             )
 
-        def check_inline(pending: _PendingItem) -> tuple[dict, bool]:
-            """Run an item in this process, trace context included.
-
-            Returns ``(verdict, cacheable)``.  A check that crashes
-            becomes the item's uncached error verdict, exactly as a
-            crash in a pool worker does.
-            """
-            ((verdict, cacheable),) = _check_chunk([pending.task()])
-            graft_worker_span(verdict)
-            return verdict, cacheable
-
-        def settle(
-            item: _PendingItem, verdict: dict, cache: bool = True
-        ) -> None:
-            """Store (unless ``cache`` is off), answer the item, and fan
-            out to its twins."""
-            graft_worker_span(verdict)
-            if cache:
-                self.cache.put(item.key, verdict, item.perm)  # type: ignore[arg-type]
-            finish(ItemResult(item.index, dict(verdict), cached=False))
-            # Consume the twin list: a later broken-pool retry must not
-            # re-settle an already-answered fingerprint.
-            for twin in waiting.pop(item.key, ()):  # type: ignore[arg-type]
-                remap = _compose_remap(item.perm, twin.perm)
-                if remap is None or not cache:
-                    finish(
-                        ItemResult(twin.index, dict(verdict), cached=cache)
-                    )
-                elif twin.translatable:
-                    finish(
-                        ItemResult(
-                            twin.index,
-                            _remap_verdict(verdict, remap),
-                            cached=True,
+        def settle(answers: list[tuple[int, dict, bool]]) -> None:
+            """Per answer: store it (when cacheable), answer the item,
+            and fan out to its twins."""
+            for index, verdict, cache in answers:
+                item = by_index[index]
+                graft_worker_span(verdict)
+                if cache:
+                    self.cache.put(item.key, verdict, item.perm)
+                finish(ItemResult(item.index, dict(verdict), cached=False))
+                for twin in waiting.pop(item.key, ()):
+                    remap = _compose_remap(item.perm, twin.perm)
+                    if remap is None or not cache:
+                        finish(
+                            ItemResult(twin.index, dict(verdict), cached=cache)
                         )
-                    )
-                else:
-                    # Same fingerprint but ids differ and the payload
-                    # cannot be translated: check it directly.
-                    finish(
-                        ItemResult(
-                            twin.index,
-                            check_inline(twin)[0],
-                            cached=False,
+                    elif twin.translatable:
+                        finish(
+                            ItemResult(
+                                twin.index,
+                                _remap_verdict(verdict, remap),
+                                cached=True,
+                            )
                         )
-                    )
+                    else:
+                        # Same fingerprint but ids differ and the payload
+                        # cannot be translated: check it directly.
+                        ((_, own, _),) = self._check_here([twin])
+                        graft_worker_span(own)
+                        finish(ItemResult(twin.index, own, cached=False))
 
-        failed: list[_PendingItem] = []
-        try:
-            pool = self._ensure_pool()
-            chunks = _plan_chunks([it.nodes for it in unique], self.jobs)
-            futures = {}
-            for chunk in chunks:
-                items = [unique[p] for p in chunk]
-                future = pool.submit(_check_chunk, [it.task() for it in items])
-                futures[future] = items
-            pending = set(futures)
-            # Beats are only worth a wake-up when a queue carries them.
-            timeout = (
-                monitor.interval / 2
-                if monitor is not None and self._hb_queue is not None
-                else None
-            )
-            while pending:
-                done, pending = wait(
-                    pending, timeout=timeout, return_when=FIRST_COMPLETED
+        by_index = {item.index: item for item in unique}
+        messages: dict[_Worker, Any] = {}
+        for item in unique:
+            if item.holder is not None:
+                messages.setdefault(item.holder, ("check", []))[1].append(
+                    (item.index, item.trace())
                 )
-                if self._hb_queue is not None:
-                    _drain_heartbeats(self._hb_queue, monitor)
-                    if monitor is not None:
-                        monitor.check_stalls()
-                if obs.enabled():
-                    obs.set_gauge(
-                        "serve.inflight",
-                        sum(len(futures[f]) for f in pending),
-                    )
-                for future in done:
-                    items = futures[future]
-                    try:
-                        answers = future.result()
-                    except BrokenProcessPool:
-                        failed.extend(items)
-                        continue
-                    except Exception as exc:
-                        # The task itself failed (say, an unpicklable
-                        # result): its items (and their twins) get an
-                        # error verdict, never cached, and the rest of
-                        # the batch carries on.
-                        answers = [(_error_verdict(exc), False) for _ in items]
-                    for item, (verdict, cacheable) in zip(items, answers):
-                        settle(item, verdict, cache=cacheable)
-            # The last items' beats may land after their results.
-            if self._hb_queue is not None:
-                _drain_heartbeats(self._hb_queue, monitor)
-        except BrokenProcessPool:
-            failed = [it for it in unique if it.key in waiting]
-        if failed:
-            # A dead worker broke the pool: rebuild it and finish the
-            # stragglers in-process, mirroring the sweep engine's
-            # serial-retry policy (never lose accepted work).
-            self._teardown_pool()
-            obs.warning(
-                "serve pool broke mid-batch; retrying items in-process",
-                items=len(failed),
+        inflight = len(unique)
+        for worker, answers in self._exchange(messages, monitor):
+            if answers is None:
+                # Its objects died with it: load and check them here.
+                answers = self._check_here(
+                    [by_index[index] for index, _ in messages[worker][1]]
+                )
+            settle(answers)
+            inflight -= len(answers)
+            if obs.enabled():
+                obs.set_gauge("serve.inflight", inflight)
+        # Items this process holds (a share whose worker died in the
+        # fingerprint phase) are checked last.
+        settle(
+            self._local.check(
+                [(it.index, it.trace()) for it in unique if it.holder is None]
             )
-            for item in failed:
-                verdict, cacheable = check_inline(item)
-                settle(item, verdict, cache=cacheable)
+        )
+        # The last items' beats may land after their results.
+        if self._hb_queue is not None:
+            _drain_heartbeats(self._hb_queue, monitor)
         if monitor is not None:
             monitor.on_sweep_done(
                 f"serve:{label}", time.perf_counter() - t0

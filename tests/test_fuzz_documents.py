@@ -133,8 +133,6 @@ def test_serve_parse_and_check_answer_every_mutant(corpus):
                 assert "\n" not in str(exc), request
         verdict = check_document(json.loads(line), options)
         if not verdict["ok"]:
-            # A trace's read events are validated when a check builds
-            # its constraints, so those errors keep their own class.
             assert verdict["error"].split(":")[0] in REPRO_ERRORS, verdict
             assert "\n" not in verdict["error"]
 
@@ -180,3 +178,48 @@ def test_list_op_fails_its_item_not_the_batch(tmp_path, capsys):
     bad, good = [json.loads(line) for line in out.read_text().splitlines()]
     assert not bad["ok"] and bad["error"].startswith("FormatError: malformed")
     assert good["ok"] and good["kind"] == "trace"
+
+
+def _chain_document() -> dict:
+    """W x → R x → W x, the read observing the first write."""
+    from repro.core import Computation, R, W
+    from repro.dag import Dag
+    from repro.runtime import ExecutionTrace, ReadEvent
+    from repro.runtime.scheduler import Schedule
+
+    comp = Computation(Dag(3, [(0, 1), (1, 2)]), (W("x"), R("x"), W("x")))
+    sched = Schedule(comp, (0, 0, 0), (0, 1, 2), 1)
+    return dump_trace(ExecutionTrace(comp, sched, "test", [ReadEvent(1, "x", 0)]))
+
+
+def _observing(observed: int) -> dict:
+    doc = _chain_document()
+    doc["reads"][0]["observed"] = observed
+    return doc
+
+
+# A read observing itself (a non-write), and one observing a later write.
+DEFINITION_2_BREAKS = {"non-write": _observing(1), "later write": _observing(2)}
+
+
+@pytest.mark.parametrize("shape", sorted(DEFINITION_2_BREAKS))
+def test_trace_breaking_definition_2_fails_to_load_with_one_line(shape):
+    from repro.io import load_document
+
+    with pytest.raises(FormatError) as info:
+        load_document(DEFINITION_2_BREAKS[shape])
+    assert "\n" not in str(info.value)
+    assert "invalid read" in str(info.value)
+
+
+@pytest.mark.parametrize("shape", sorted(DEFINITION_2_BREAKS))
+def test_trace_breaking_definition_2_fails_its_item_not_the_batch(shape):
+    from repro.serve import TraceCheckService
+
+    lines = [json.dumps(_chain_document()), json.dumps(DEFINITION_2_BREAKS[shape])]
+    with TraceCheckService(jobs=1) as svc:
+        good, bad = svc.check_batch(lines)
+    assert good.verdict["ok"] and good.verdict["admitted"] is True
+    assert bad.verdict["ok"] is False
+    assert bad.verdict["error"].startswith("FormatError: invalid read")
+    assert "\n" not in bad.verdict["error"]

@@ -129,6 +129,23 @@ class TestTraceRoundtrip:
         with pytest.raises(ScheduleError):
             load_trace(doc)
 
+    def test_loaded_observer_is_reused_until_the_reads_change(self):
+        from repro.runtime import ReadEvent
+
+        comp = Computation(Dag(3, [(0, 1)]), (W("x"), R("x"), R("x")))
+        from repro.runtime import serial_schedule, SerialMemory
+
+        trace = load_trace(dump_trace(execute(serial_schedule(comp), SerialMemory())))
+        first = trace.partial_observer()
+        assert trace.partial_observer() is first
+        trace.reads[-1] = ReadEvent(2, "x", None)  # same length, new read
+        assert trace.partial_observer().constrained("x")[2] is None
+        trace.reads.append(ReadEvent(2, "x", 0))  # an executor appending
+        assert trace.partial_observer().constrained("x")[2] == 0
+        trace.reads.append(ReadEvent(1, "x", 2))  # observes a non-write
+        with pytest.raises(InvalidObserverError):
+            trace.partial_observer()
+
 
 class TestStringDispatch:
     def test_dumps_unknown_type(self):

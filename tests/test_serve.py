@@ -763,21 +763,54 @@ def _smoke_module():
     return module
 
 
-def _chunk_of(unique_nodes, jobs, nodes):
-    """Node counts of the chunk that holds the ``nodes``-node item, when
-    a batch's unique items have ``unique_nodes`` nodes in batch order."""
-    from repro.serve.service import _plan_chunks
+def _share_of(lines, jobs, index):
+    """Batch positions of the worker share that holds ``lines[index]``
+    (the fingerprint phase splits a batch's lines by length)."""
+    from repro.serve.service import _plan_shares
 
-    for chunk in _plan_chunks(unique_nodes, jobs):
-        members = [unique_nodes[p] for p in chunk]
-        if nodes in members:
-            return members
-    raise AssertionError(f"no chunk holds the {nodes}-node item")
+    for share in _plan_shares([len(line) for line in lines], jobs):
+        if index in share:
+            return share
+    raise AssertionError(f"no share holds item {index}")
+
+
+def _without_seconds(results):
+    return [
+        ({k: v for k, v in r.verdict.items() if k != "seconds"}, r.cached)
+        for r in results
+    ]
+
+
+def _old_dedupe(lines, options):
+    """The ``cached`` flags of one batch on an empty cache, computed in
+    this process the way a service that loads, fingerprints and dedupes
+    every line in the parent decides them (every check cacheable)."""
+    from repro.io import load_document
+    from repro.serve.service import _compose_remap, parse_request_ex
+
+    first = {}
+    flags = []
+    for line in lines:
+        try:
+            doc, opts, _ = parse_request_ex(line, options)
+            key, perm = request_fingerprint(load_document(doc), opts)
+        except Exception:
+            flags.append(False)
+            continue
+        if key not in first:
+            first[key] = perm
+            flags.append(False)
+            continue
+        translatable = not (opts.sanitize or opts.rules)
+        flags.append(_compose_remap(first[key], perm) is None or translatable)
+    return flags
 
 
 class TestChunkedDispatch:
-    """A batch's unique items reach the pool as a few node-balanced
-    chunks; everything downstream of a chunk's answers stays per item."""
+    """A batch reaches the workers as one chunk of lines per worker,
+    balanced by length; each worker fingerprints its chunk and later
+    checks the unique items it holds, while everything downstream of a
+    worker's answers stays per item."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -785,27 +818,26 @@ class TestChunkedDispatch:
         jobs=st.integers(1, 6),
     )
     def test_planner_covers_each_item_once_in_few_chunks(self, weights, jobs):
-        from repro.serve.service import CHUNKS_PER_JOB, _plan_chunks
+        from repro.serve.service import _plan_shares
 
-        chunks = _plan_chunks(weights, jobs)
-        assert sorted(p for c in chunks for p in c) == list(range(len(weights)))
-        assert len(chunks) == min(len(weights), CHUNKS_PER_JOB * jobs)
-        assert len(chunks) <= 2 * jobs
-        assert all(chunks)
-        assert all(c == sorted(c) for c in chunks)
+        shares = _plan_shares(weights, jobs)
+        assert sorted(p for c in shares for p in c) == list(range(len(weights)))
+        assert len(shares) == min(len(weights), jobs)
+        assert all(shares)
+        assert all(c == sorted(c) for c in shares)
 
     @settings(max_examples=60, deadline=None)
     @given(
         others=st.lists(st.integers(1, 9), min_size=1, max_size=40),
         at=st.integers(0, 40),
-        jobs=st.integers(1, 4),
+        jobs=st.integers(2, 4),
     )
     def test_planner_gives_an_oversized_item_its_own_chunk(self, others, at, jobs):
-        from repro.serve.service import _plan_chunks
+        from repro.serve.service import _plan_shares
 
         at = min(at, len(others))
         weights = others[:at] + [sum(others) + 1] + others[at:]
-        assert [at] in _plan_chunks(weights, jobs)
+        assert [at] in _plan_shares(weights, jobs)
 
     def test_two_workers_answer_like_one(self):
         """A ~200-item batch (the smoke corpus's chains and relabelled
@@ -823,10 +855,7 @@ class TestChunkedDispatch:
 
         def run(jobs):
             with TraceCheckService(jobs=jobs) as svc:
-                return [
-                    ({k: v for k, v in r.verdict.items() if k != "seconds"}, r.cached)
-                    for r in svc.check_batch(lines)
-                ]
+                return _without_seconds(svc.check_batch(lines))
 
         one, two = run(1), run(2)
         assert one == two
@@ -850,11 +879,10 @@ class TestChunkedDispatch:
                 raise RuntimeError("checker bug")
             return real(obj, options)
 
-        # Patched before the first batch forks the pool.
+        # Patched before the first batch starts the workers.
         monkeypatch.setattr(service, "_check_object", crash_on_four_nodes)
         traces = [chain_trace(k) for k in range(1, 7)]  # 2..7 nodes
-        assert len(_chunk_of([k + 1 for k in range(1, 7)], 1, 4)) > 1
-        with TraceCheckService(jobs=1) as svc:
+        with TraceCheckService(jobs=1) as svc:  # one worker holds them all
             results = svc.check_batch(lines_for(*traces))
             cached = len(svc.cache)
             again = svc.check_batch(lines_for(*traces))
@@ -880,19 +908,17 @@ class TestChunkedDispatch:
             if os.getpid() == parent:
                 checked_here.append(obj.comp.num_nodes)
             elif obj.comp.num_nodes == 4:
-                os._exit(1)  # a dying worker breaks the pool
+                os._exit(1)  # the worker dies mid-check
             return real(obj, options)
 
-        # Patched before the first batch forks the pool.
+        # Patched before the first batch starts the workers.
         monkeypatch.setattr(service, "_check_object", die_in_worker_on_four_nodes)
         traces = [chain_trace(k) for k in range(1, 7)]
-        mates = _chunk_of([k + 1 for k in range(1, 7)], 1, 4)
-        assert len(mates) > 1
-        with TraceCheckService(jobs=1) as svc:
+        with TraceCheckService(jobs=1) as svc:  # one worker holds them all
             results = svc.check_batch(lines_for(*traces))
             cached = len(svc.cache)
         assert all(r.verdict["ok"] and r.verdict["admitted"] for r in results)
-        assert set(mates) <= set(checked_here)
+        assert sorted(checked_here) == [t.comp.num_nodes for t in traces]
         assert cached == 6
 
     def test_inflight_gauge_counts_items_not_chunks(self, monkeypatch):
@@ -914,20 +940,174 @@ class TestChunkedDispatch:
             return real_gauge(name, value, *args, **kwargs)
 
         monkeypatch.setattr(obs, "set_gauge", record)
-        traces = [chain_trace(k) for k in range(1, 21)]
-        chunks = service._plan_chunks([t.comp.num_nodes for t in traces], 1)
-        sizes = {len(c) for c in chunks}
-        assert min(sizes) > len(chunks)  # item counts cannot pass for chunk counts
+        lines = lines_for(*(chain_trace(k) for k in range(1, 21)))
+        shares = service._plan_shares([len(line) for line in lines], 2)
+        sizes = {len(c) for c in shares}
+        assert min(sizes) > len(shares)  # item counts cannot pass for chunk counts
         obs.reset()
         obs.enable()
         try:
-            with TraceCheckService(jobs=1) as svc:
-                svc.check_batch(lines_for(*traces))
+            with TraceCheckService(jobs=2) as svc:
+                svc.check_batch(lines)
         finally:
             obs.reset()
         assert gauges[-1] == 0
-        assert set(gauges) <= sizes | {0, len(traces)}
+        assert set(gauges) <= sizes | {0}
         assert sizes & set(gauges)
+
+    def test_worker_killed_while_fingerprinting_loses_no_item(self, monkeypatch):
+        """A worker that dies in the fingerprint phase has its whole
+        chunk loaded, fingerprinted and checked in-process; the answers
+        equal an undisturbed ``jobs=1`` run."""
+        import repro.serve.service as service
+
+        lines = _smoke_module().batch_lines(40) + lines_for(chain_trace(9))
+        with TraceCheckService(jobs=1) as svc:
+            expected = _without_seconds(svc.check_batch(lines))
+
+        real_fp, real_check = service.request_fingerprint, service._check_object
+        parent = os.getpid()
+        checked_here = []
+
+        def die_on_ten_nodes(obj, options):
+            if os.getpid() != parent and obj.comp.num_nodes == 10:
+                os._exit(1)
+            return real_fp(obj, options)
+
+        def record(obj, options):
+            if os.getpid() == parent:
+                checked_here.append(obj.comp.num_nodes)
+            return real_check(obj, options)
+
+        monkeypatch.setattr(service, "request_fingerprint", die_on_ten_nodes)
+        monkeypatch.setattr(service, "_check_object", record)
+        with TraceCheckService(jobs=2) as svc:
+            got = _without_seconds(svc.check_batch(lines))
+            again = _without_seconds(svc.check_batch(lines[:4]))
+            assert len(svc._pool) == 2  # the dead worker was replaced
+        assert got == expected
+        assert 10 in checked_here
+        assert again == [(v, True) for v, _ in expected[:4]]
+
+    def test_worker_killed_while_checking_loses_no_item(self, monkeypatch):
+        """A worker that dies in the check phase has the items it was
+        asked to check loaded and checked in-process; the answers equal
+        an undisturbed ``jobs=1`` run."""
+        import repro.serve.service as service
+
+        lines = _smoke_module().batch_lines(40) + lines_for(chain_trace(9))
+        with TraceCheckService(jobs=1) as svc:
+            expected = _without_seconds(svc.check_batch(lines))
+        real = service._check_object
+        parent = os.getpid()
+        checked_here = []
+
+        def die_on_ten_nodes(obj, options):
+            if os.getpid() == parent:
+                checked_here.append(obj.comp.num_nodes)
+            elif obj.comp.num_nodes == 10:
+                os._exit(1)
+            return real(obj, options)
+
+        monkeypatch.setattr(service, "_check_object", die_on_ten_nodes)
+        with TraceCheckService(jobs=2) as svc:
+            got = _without_seconds(svc.check_batch(lines))
+        assert got == expected
+        assert 10 in checked_here
+
+    def test_raising_check_at_two_workers_fails_only_its_item(self, monkeypatch):
+        import repro.serve.service as service
+
+        real = service._check_object
+
+        def crash_on_five_nodes(obj, options):
+            if obj.comp.num_nodes == 5:
+                raise RuntimeError("checker bug")
+            return real(obj, options)
+
+        monkeypatch.setattr(service, "_check_object", crash_on_five_nodes)
+        traces = [chain_trace(k) for k in range(1, 9)]
+        with TraceCheckService(jobs=2) as svc:
+            results = svc.check_batch(lines_for(*traces))
+            (again,) = svc.check_batch(lines_for(chain_trace(4)))
+        for trace, item in zip(traces, results):
+            if trace.comp.num_nodes == 5:
+                assert item.verdict == {
+                    "ok": False,
+                    "error": "RuntimeError: checker bug",
+                    "seconds": 0.0,
+                }
+            else:
+                assert item.verdict["ok"] and item.verdict["admitted"]
+        assert not again.cached and not again.verdict["ok"]
+
+    def test_relabelled_twins_on_different_workers_get_remapped_witnesses(self):
+        lines = lines_for(bad_trace(), bad_trace_relabelled())
+        assert _share_of(lines, 2, 0) != _share_of(lines, 2, 1)
+        with TraceCheckService(jobs=2) as svc:
+            head, twin = svc.check_batch(lines)
+        assert not head.cached and twin.cached
+        assert head.verdict["witness"]["node"] == 1
+        assert twin.verdict["witness"]["node"] == 2
+        assert twin.verdict["witness"]["blocks"] == [1, 0]
+
+    @pytest.mark.parametrize("envelope", [{"sanitize": True}, {"rules": ["RACE001"]}])
+    def test_untranslatable_twins_are_rechecked(self, envelope):
+        from repro.serve.service import check_document
+
+        docs = [dump_trace(t) for t in (bad_trace(), bad_trace_relabelled())]
+        lines = [json.dumps({"document": d, **envelope}) for d in docs]
+        with TraceCheckService(jobs=2) as svc:
+            results = svc.check_batch(lines)
+        options = CheckOptions.merged(envelope, CheckOptions())
+        for doc, item in zip(docs, results):
+            assert not item.cached
+            expected = check_document(doc, options)
+            del expected["seconds"]
+            assert {k: v for k, v in item.verdict.items() if k != "seconds"} == expected
+
+    def test_close_leaves_no_child_process(self):
+        import multiprocessing
+
+        # A module-scoped service may still be running: compare to it.
+        before = set(multiprocessing.active_children())
+        svc = TraceCheckService(jobs=2)
+        svc.check_batch(lines_for(good_trace(), bad_trace()))
+        workers = set(multiprocessing.active_children()) - before
+        assert len(workers) == 2
+        svc.close()
+        assert set(multiprocessing.active_children()) == before
+        assert not any(p.is_alive() for p in workers)
+
+    def test_parity_with_in_process_checks_on_a_seeded_corpus(self):
+        """A ``jobs=2`` service over the smoke corpus with bad lines,
+        exact twins and relabelled twins mixed in: every verdict, fresh
+        or served from a (remapped) twin, is in-process
+        ``check_document``'s, and every ``cached`` flag is the dedupe a
+        parent that loads and fingerprints every line makes."""
+        from repro.serve.service import check_document
+
+        rng = random.Random(7)
+        lines = _smoke_module().batch_lines(120)
+        extras = (
+            ["{broken", json.dumps({"format": "nope"}), json.dumps([1])]
+            + lines_for(bad_trace(), bad_trace_relabelled(), bad_trace())
+            + lines_for(*(relabel_trace(chain_trace(k), [k, *range(k)]) for k in (3, 5)))
+            + lines_for(bottom_trace(True), bottom_trace(False))
+        )
+        for line in extras:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        with TraceCheckService(jobs=2) as svc:
+            results = svc.check_batch(lines)
+        assert [r.index for r in results] == list(range(len(lines)))
+        assert [r.cached for r in results] == _old_dedupe(lines, CheckOptions())
+        for line, item in zip(lines, results):
+            assert item.verdict["ok"] == (line not in extras[:3])
+            if not item.verdict["ok"]:
+                continue
+            expected = check_document(json.loads(line), CheckOptions())
+            del expected["seconds"]
+            assert {k: v for k, v in item.verdict.items() if k != "seconds"} == expected
 
 
 # ---------------------------------------------------------------------------
