@@ -2,10 +2,12 @@
 
 The enumeration sweeps lean on ``functools.lru_cache`` memoization of
 pure hot paths (canonical forms, topological-sort sets, last-writer
-rows, augmentations, membership verdicts).  All of those caches consult
-:data:`ENABLED` so that benchmarks can measure the *uncached* baseline —
-the code path as it stood before the parallel sweep engine existed —
-without reverting the library.
+rows, augmentations, per-computation row sets).  Membership verdicts
+are not memoized: a sweep decides each model once per pair.  All of
+those caches, the closed-form Theorem-12 hooks and the dag-consistency
+models' fiber reuse consult :data:`ENABLED` so that benchmarks can
+measure the *uncached* baseline — the code path as it stood before the
+parallel sweep engine existed — without reverting the library.
 
 This module is intentionally dependency-free: it sits below ``core``,
 ``dag`` and ``models`` in the import graph so every layer may consult it.

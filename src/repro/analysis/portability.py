@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction, count_observer_functions
-from repro.models.base import cached_membership
 from repro.verify.races import is_race_free
 
 __all__ = ["PortabilityVerdict", "check_portability", "DEFAULT_BUDGET"]
@@ -99,9 +98,7 @@ def check_portability(
     checked = 0
     for phi in ObserverFunction.enumerate_all(comp):
         checked += 1
-        if cached_membership(LC, comp, phi) and not cached_membership(
-            SC, comp, phi
-        ):
+        if LC.contains(comp, phi) and not SC.contains(comp, phi):
             return PortabilityVerdict(
                 "divergent",
                 "observer admitted by LC but rejected by SC",

@@ -177,7 +177,8 @@ class ObserverFunction:
 
         Returns ``{observed_value: node_bitset}``; the key ``None`` is the
         ``⊥`` fiber (present only if non-empty).  Fibers are the "blocks"
-        of the polynomial LC membership algorithm.
+        of the polynomial LC membership algorithm and what the
+        dag-consistency checks read.
         """
         out: dict[int | None, int] = {}
         for u, v in enumerate(self.row(loc)):
@@ -267,14 +268,40 @@ class ObserverFunction:
         if not locs:
             yield ObserverFunction(comp, {}, validate=False)
             return
-        per_loc_rows: list[list[tuple[int | None, ...]]] = []
+        # The rows are generated legal, so each observer skips __init__'s
+        # re-checks; only the implicit-row check depends on ``locs`` alone.
+        if any(comp.writers_mask(loc) and loc not in locs for loc in comp.locations):
+            raise InvalidObserverError(
+                "a location with writes cannot have an implicit all-bottom row"
+            )
+        # One (location, row) item per candidate row; ``None`` for the
+        # all-⊥ row, which the normal form omits.
+        per_loc_items: list[list[tuple[Location, tuple[int | None, ...]] | None]] = []
         for loc in locs:
             node_cands = [candidate_values(comp, loc, u) for u in comp.nodes()]
-            per_loc_rows.append([tuple(row) for row in product(*node_cands)])
-        for rows in product(*per_loc_rows):
-            yield ObserverFunction(
-                comp, dict(zip(locs, rows)), validate=False
+            per_loc_items.append(
+                [
+                    (loc, row) if any(v is not None for v in row) else None
+                    for row in product(*node_cands)
+                ]
             )
+        for items in product(*per_loc_items):
+            yield ObserverFunction._normalized(
+                comp, dict(item for item in items if item is not None)
+            )
+
+    @classmethod
+    def _normalized(
+        cls, comp: Computation, norm: dict[Location, tuple[int | None, ...]]
+    ) -> "ObserverFunction":
+        """An observer over rows already in normal form (full-length
+        tuples, no all-⊥ row) and legal for ``comp``; nothing is checked."""
+        self = object.__new__(cls)
+        self._comp = comp
+        self._map = norm
+        self._hash = None
+        self._locs = None
+        return self
 
     # ------------------------------------------------------------------
     # Equality / hashing / repr

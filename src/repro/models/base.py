@@ -16,10 +16,8 @@ membership oracle alone.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from repro import _caching
 from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction
 from repro.core.ops import Location
@@ -33,25 +31,16 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1 << 17)
-def _membership(model: "MemoryModel", comp, phi) -> bool:
-    return model.contains(comp, phi)
-
-
 def cached_membership(model: "MemoryModel", comp, phi) -> bool:
-    """Memoized ``model.contains(comp, phi)`` for stateless models.
+    """``model.contains(comp, phi)``: the sweep kernels' membership call.
 
-    Exhaustive sweeps ask the same membership question repeatedly — SC
-    runs the LC pre-check internally, the lattice battery queries every
-    model on every pair, and constructibility sweeps revisit augmented
-    pairs — and computations/observers hash by value, so a process-wide
-    verdict cache collapses all of that.  Models whose verdicts could
-    change after construction (``cache_membership = False``, e.g.
-    :class:`ExplicitModel`) bypass the cache.
+    Sweeps keep no verdict memo: each kernel asks each model once per
+    pair and shares the answer among its questions, and hashing a pair
+    for a memo costs about as much as deciding membership on the small
+    computations a sweep enumerates.  The kernels still route through
+    this one function so profilers can time membership as a layer.
     """
-    if not _caching.ENABLED or not model.cache_membership:
-        return model.contains(comp, phi)
-    return _membership(model, comp, phi)
+    return model.contains(comp, phi)
 
 
 class MemoryModel(ABC):
@@ -66,11 +55,6 @@ class MemoryModel(ABC):
 
     #: Human-readable name used in reports and reprs.
     name: str = "model"
-
-    #: Whether :func:`cached_membership` may memoize this model's verdicts
-    #: (safe for stateless predicate models; subclasses whose membership
-    #: can change after construction must set this to False).
-    cache_membership: bool = True
 
     #: Optional closed-form answer to the Theorem-12 one-step test, for
     #: every op at once: a method ``(comp, phi) -> tuple[Location, ...]
@@ -172,8 +156,6 @@ class ExplicitModel(MemoryModel):
     bounded constructible-version computation.  Pairs for computations
     outside the stored domain are *not* members.
     """
-
-    cache_membership = False
 
     def __init__(
         self,

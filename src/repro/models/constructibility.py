@@ -56,7 +56,7 @@ from repro import _caching
 from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction
 from repro.core.ops import Op, Location
-from repro.models.base import ExplicitModel, MemoryModel, cached_membership
+from repro.models.base import ExplicitModel, MemoryModel
 from repro.models.universe import Universe
 
 __all__ = [
@@ -130,6 +130,16 @@ def _unblocked(stuck: tuple[Location, ...] | None, o: Op) -> bool:
     return stuck is not None and all(o.writes(loc) for loc in stuck)
 
 
+def _first_blocked(
+    stuck: tuple[Location, ...] | None, alphabet: Iterable[Op]
+) -> Op | None:
+    """The first op of ``alphabet`` that a pair with these stuck
+    locations does not extend to (any op, for a non-member)."""
+    if stuck == ():
+        return None
+    return next((o for o in alphabet if not _unblocked(stuck, o)), None)
+
+
 def can_extend_to_augmentation(
     model: MemoryModel, comp: Computation, phi: ObserverFunction, o: Op
 ) -> bool:
@@ -148,15 +158,8 @@ def can_extend_to_augmentation(
     hook = _stuck_hook(model)
     if hook is not None:
         return _unblocked(hook(comp, phi), o)
-    if not _caching.ENABLED:
-        return any(
-            model.contains(aug, phi2)
-            for aug, phi2 in augmentation_extensions(comp, phi, o)
-        )
-    return any(
-        cached_membership(model, aug, phi2)
-        for aug, phi2 in _extension_pairs(comp, phi, o)
-    )
+    extensions = _extension_pairs if _caching.ENABLED else augmentation_extensions
+    return any(model.contains(aug, phi2) for aug, phi2 in extensions(comp, phi, o))
 
 
 def augmentation_closed_at(
@@ -176,7 +179,7 @@ def augmentation_closed_at(
     hook = _stuck_hook(model)
     if hook is not None:
         stuck = hook(comp, phi)
-        return next((o for o in alphabet if not _unblocked(stuck, o)), None)
+        return _first_blocked(stuck, alphabet)
     for o in alphabet:
         if not can_extend_to_augmentation(model, comp, phi, o):
             return o

@@ -60,11 +60,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro import _caching
 from repro.core.computation import Computation
 from repro.core.observer import ObserverFunction
 from repro.core.ops import Location, merged_locations
 from repro.dag.digraph import bit_indices
-from repro.models.base import MemoryModel, cached_membership
+from repro.models.base import MemoryModel
 from repro.models.predicates import (
     Predicate,
     nn_predicate,
@@ -94,11 +95,26 @@ def dag_consistency_triples(
                 yield u, v, w
 
 
-def _fibers(row) -> dict[int | None, int]:
-    """Bitset of the nodes observing each value of one observer row."""
-    fibers: dict[int | None, int] = {}
-    for u, x in enumerate(row):
-        fibers[x] = fibers.get(x, 0) | (1 << u)
+# The fibers of the observer checked last.  A sweep asks NN, NW, WN and
+# WW (and their Theorem-12 hooks) about one pair back to back, and all
+# of them read the same partition.  One entry keyed by identity, so
+# nothing accumulates; the tuple is replaced whole, so no reader mixes
+# two observers' fibers.
+_last_fibers: tuple[ObserverFunction | None, dict] = (None, {})
+
+
+def _fibers(phi: ObserverFunction, loc: Location) -> dict[int | None, int]:
+    """``phi.fibers(loc)``, shared by consecutive checks of one observer."""
+    global _last_fibers
+    if not _caching.ENABLED:
+        return phi.fibers(loc)
+    owner, by_loc = _last_fibers
+    if owner is not phi:
+        by_loc = {}
+        _last_fibers = (phi, by_loc)
+    fibers = by_loc.get(loc)
+    if fibers is None:
+        fibers = by_loc[loc] = phi.fibers(loc)
     return fibers
 
 
@@ -170,8 +186,7 @@ class QDagConsistency(MemoryModel):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _check_nn(comp: Computation, loc: Location, row) -> bool:
-        fibers = _fibers(row)
+    def _check_nn(comp: Computation, loc: Location, fibers) -> bool:
         dag = comp.dag
         bot = fibers.get(None, 0)
         for x, members in fibers.items():
@@ -191,8 +206,7 @@ class QDagConsistency(MemoryModel):
         return True
 
     @staticmethod
-    def _check_nw(comp: Computation, loc: Location, row) -> bool:
-        fibers = _fibers(row)
+    def _check_nw(comp: Computation, loc: Location, fibers) -> bool:
         dag = comp.dag
         for v in comp.writers(loc):
             for x, members in fibers.items():
@@ -209,8 +223,7 @@ class QDagConsistency(MemoryModel):
         return True
 
     @staticmethod
-    def _check_wn(comp: Computation, loc: Location, row) -> bool:
-        fibers = _fibers(row)
+    def _check_wn(comp: Computation, loc: Location, fibers) -> bool:
         dag = comp.dag
         for x, members in fibers.items():
             if x is None:
@@ -222,8 +235,7 @@ class QDagConsistency(MemoryModel):
         return True
 
     @staticmethod
-    def _check_ww(comp: Computation, loc: Location, row) -> bool:
-        fibers = _fibers(row)
+    def _check_ww(comp: Computation, loc: Location, fibers) -> bool:
         dag = comp.dag
         writers_mask = comp.writers_mask(loc)
         for x, members in fibers.items():
@@ -247,41 +259,46 @@ class QDagConsistency(MemoryModel):
         ``None`` if ``(comp, phi)`` is not a member.  The local rule is
         derived in the module docstring; locations outside ``comp`` and
         ``phi`` have an all-``⊥`` row and no writer, so ``⊥`` serves them.
+        Membership and the stuck set read the same fibers, built once.
         """
-        if not cached_membership(self, comp, phi):
-            return None
+        locs = merged_locations(comp.locations, phi.locations)
+        by_loc = [(loc, _fibers(phi, loc)) for loc in locs]
+        check = self._check
+        for loc, fibers in by_loc:
+            if not check(comp, loc, fibers):
+                return None
+        if self._source_writes:
+            # WN and WW: x = ⊥ always passes, so nothing is stuck.
+            return ()
         dag = comp.dag
         everyone = (1 << comp.num_nodes) - 1
-        bottom_source = not self._source_writes
         stuck = []
-        for loc in merged_locations(comp.locations, phi.locations):
+        for loc, fibers in by_loc:
             writers = comp.writers_mask(loc)
             middles = writers if self._middle_writes else everyone
-            sources = writers if self._source_writes else everyone
-            fibers = _fibers(phi.row(loc))
-
-            def passes(x: int | None) -> bool:
-                members = fibers.get(x, 0)
-                outside = middles & ~members
-                if not outside:
-                    return True
-                if x is None and bottom_source:
-                    return False
-                below = 0
-                for u in bit_indices(members & sources):
-                    below |= dag.descendants_mask(u)
-                return not below & outside
-
-            if not any(passes(x) for x in (None, *bit_indices(writers))):
-                stuck.append(loc)
+            # Under NN and NW, x = ⊥ fails as soon as an eligible middle
+            # lies outside the ⊥ fiber; every node is an eligible source.
+            if middles & ~fibers.get(None, 0):
+                for x in bit_indices(writers):
+                    members = fibers.get(x, 0)
+                    outside = middles & ~members
+                    below = 0
+                    for u in bit_indices(members):
+                        below |= dag.descendants_mask(u)
+                    if not below & outside:
+                        break
+                else:
+                    stuck.append(loc)
         return tuple(stuck)
 
     def contains(self, comp: Computation, phi: ObserverFunction) -> bool:
         check = self._check
         if check is None:
             return self.contains_reference(comp, phi)
-        locs = merged_locations(comp.locations, phi.locations)
-        return all(check(comp, loc, phi.row(loc)) for loc in locs)
+        for loc in merged_locations(comp.locations, phi.locations):
+            if not check(comp, loc, _fibers(phi, loc)):
+                return False
+        return True
 
 
 NN = QDagConsistency(nn_predicate, "NN", variant="NN")

@@ -26,7 +26,7 @@ from repro.core.last_writer import last_writer_row
 from repro.core.observer import ObserverFunction
 from repro.core.ops import Location, merged_locations
 from repro.dag.toposort import cached_topological_sorts
-from repro.models.base import MemoryModel, cached_membership
+from repro.models.base import MemoryModel
 from repro.models.membership import block_witness_order, location_blocks_admissible
 
 __all__ = ["LocationConsistency", "LC"]
@@ -91,7 +91,7 @@ class LocationConsistency(MemoryModel):
         an LC extension to an LC member.  This is Theorem 19's closure
         argument, specialized to one augmentation step.
         """
-        return () if cached_membership(self, comp, phi) else None
+        return () if self.contains(comp, phi) else None
 
     def witness_orders(
         self, comp: Computation, phi: ObserverFunction

@@ -29,7 +29,7 @@ from repro.core.computation import Computation
 from repro.core.last_writer import last_writer_function, last_writer_row
 from repro.core.observer import ObserverFunction
 from repro.core.ops import Location, merged_locations
-from repro.models.base import MemoryModel, cached_membership
+from repro.models.base import MemoryModel
 from repro.models.location_consistency import LC
 
 __all__ = ["SequentialConsistency", "SC"]
@@ -77,10 +77,8 @@ class SequentialConsistency(MemoryModel):
 
         Runs the cheap polynomial LC check first: SC ⊆ LC, so an LC
         failure immediately refutes SC membership without any search.
-        The pre-check goes through the membership cache — sweeps that
-        query both SC and LC on the same pair pay for LC only once.
         """
-        if not cached_membership(LC, comp, phi):
+        if not LC.contains(comp, phi):
             return None
         locs: tuple[Location, ...] = merged_locations(
             comp.locations, phi.locations
@@ -151,7 +149,7 @@ class SequentialConsistency(MemoryModel):
         dropping ``f`` from its witness sort.  Hence extendability is
         exactly membership, for every op ``o``.
         """
-        return () if cached_membership(self, comp, phi) else None
+        return () if self.contains(comp, phi) else None
 
     def observers(self, comp, locations=None):
         """Generate SC observer functions directly from topological sorts.

@@ -663,7 +663,6 @@ def _tracked_caches() -> dict[str, Any]:
     from repro.core.ops import _merged_locations_cached
     from repro.dag.enumerate import _canonical_form_cached
     from repro.dag.toposort import _cached_topological_sorts
-    from repro.models.base import _membership
     from repro.models.constructibility import _extension_pairs
     from repro.models.location_consistency import _lc_row_set
     from repro.models.sequential import _sc_row_sets
@@ -683,7 +682,6 @@ def _tracked_caches() -> dict[str, Any]:
         "find_races": _find_races_cached,
         "last_writer_row": _last_writer_row_cached,
         "lc_row_set": _lc_row_set,
-        "membership": _membership,
         "merged_locations": _merged_locations_cached,
         "sc_row_sets": _sc_row_sets,
         "topological_sorts": _cached_topological_sorts,
@@ -1334,14 +1332,20 @@ def lattice_battery_kernel(
     The questions are separation witnesses for ``edges``, Theorem-12
     nonconstructibility witnesses for the ``constructibility`` models,
     and Theorem-23 counts when ``thm23_probes`` is given; any subset may
-    be asked.  Each pair's membership verdicts are computed lazily at
-    most once and shared by every question, and the closure tests of
-    models without a closed-form Theorem-12 hook share the
-    model-independent augmentation extensions.
+    be asked.  Each model's membership is decided at most once per pair
+    and shared by every question.  A model with a closed-form
+    Theorem-12 hook answers membership and its stuck locations in one
+    hook call, so the constructibility questions go first and the edge
+    and Theorem-23 questions reuse that verdict; models without a hook
+    (and every model when caching is off) take the generic search,
+    whose closure tests share the model-independent augmentation
+    extensions.
     """
     from repro.models.base import cached_membership
     from repro.models.constructibility import (
         NonconstructibilityWitness,
+        _first_blocked,
+        _stuck_hook,
         augmentation_closed_at,
     )
     from repro.models.relations import SeparationWitness
@@ -1359,6 +1363,8 @@ def lattice_battery_kernel(
 
     def body(shard: ShardSpec) -> tuple[dict, int, int]:
         alphabet = shard.universe().alphabet
+        # Read under the shard's caching flag: uncached shards get no hooks.
+        hooks = {name: _stuck_hook(m) for name, m in models.items()}
         found_w: dict[tuple[str, str], SeparationWitness] = {}
         found_nc: dict[str, NonconstructibilityWitness] = {}
         lc_in_nn = nn_minus_lc = stuck = 0
@@ -1367,6 +1373,7 @@ def lattice_battery_kernel(
             pairs += weight
             evaluated += 1
             verdicts: dict[str, bool] = {}
+            stuck_sets: dict[str, tuple | None] = {}
 
             def member(name: str) -> bool:
                 if name not in verdicts:
@@ -1375,6 +1382,28 @@ def lattice_battery_kernel(
                     )
                 return verdicts[name]
 
+            def closed_at(name: str, ops: Sequence) -> Any:
+                """Theorem 12 at this pair; ``None`` for non-members."""
+                hook = hooks[name]
+                if hook is None:
+                    if not member(name):
+                        return None
+                    return augmentation_closed_at(models[name], comp, phi, ops)
+                if name not in stuck_sets:
+                    stuck_sets[name] = hook(comp, phi)
+                    verdicts[name] = stuck_sets[name] is not None
+                if stuck_sets[name] is None:
+                    return None
+                return _first_blocked(stuck_sets[name], ops)
+
+            for name in constructibility:
+                if name in found_nc:
+                    continue
+                bad = closed_at(name, alphabet)
+                if bad is not None:
+                    found_nc[name] = NonconstructibilityWitness(
+                        comp, phi, bad
+                    )
             for a, b in edges:
                 if (a, b) not in found_w and member(b) and not member(a):
                     found_w[(a, b)] = SeparationWitness(comp, phi, b, a)
@@ -1383,23 +1412,8 @@ def lattice_battery_kernel(
                     lc_in_nn += weight
                 else:
                     nn_minus_lc += weight
-                    if (
-                        augmentation_closed_at(
-                            models["NN"], comp, phi, thm23_probes
-                        )
-                        is not None
-                    ):
+                    if closed_at("NN", thm23_probes) is not None:
                         stuck += weight
-            for name in constructibility:
-                if name in found_nc or not member(name):
-                    continue
-                bad = augmentation_closed_at(
-                    models[name], comp, phi, alphabet
-                )
-                if bad is not None:
-                    found_nc[name] = NonconstructibilityWitness(
-                        comp, phi, bad
-                    )
             if (
                 may_break
                 and len(found_w) == len(edges)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import N, R, W
+from repro.core.observer import ObserverFunction, count_observer_functions
 from repro.models import LC, NN, Universe, default_alphabet
 from repro.errors import UniverseError
 
@@ -75,3 +76,24 @@ class TestModelPairs:
         u = Universe(max_nodes=1, locations=("x",))
         comps = [comp for comp, _ in u.pairs()]
         assert any(c.is_empty for c in comps)
+
+
+@pytest.mark.parametrize(
+    "universe",
+    [Universe(max_nodes=4, locations=("x",)), Universe(max_nodes=3, locations=("x", "y"))],
+    ids=["n4-x", "n3-xy"],
+)
+def test_enumerated_observers_equal_validated_construction(universe):
+    """Observers built from generated rows (no re-checks) are the ones a
+    validating construction gives: equal, same hash, same locations,
+    and as many per computation as ``count_observer_functions``."""
+    for comp in universe.computations():
+        count = 0
+        for phi in universe.observers(comp):
+            count += 1
+            rows = {loc: phi.row(loc) for loc in comp.locations}
+            checked = ObserverFunction(comp, rows, validate=True)
+            assert phi == checked
+            assert hash(phi) == hash(checked)
+            assert phi.locations == checked.locations
+        assert count == count_observer_functions(comp)

@@ -320,6 +320,62 @@ def test_cached_battery_matches_uncached_generic_path(universe, probes):
     assert cached == uncached
 
 
+def test_each_model_is_decided_once_per_pair(monkeypatch):
+    """One serial battery pass and one inclusion pass each decide every
+    model's membership at most once per pair.
+
+    A decision is an outermost call of a model's ``contains`` or of its
+    Theorem-12 hook (which answers membership too); a hook's own
+    ``contains`` call is part of its decision.  Asking ``contains``
+    and then the hook at one pair decides twice, memo or no memo.
+    """
+    from collections import Counter
+
+    from repro.analysis.lattice import (
+        PAPER_EDGES,
+        PAPER_INCOMPARABLE,
+        PAPER_MODELS,
+    )
+
+    decisions: Counter = Counter()
+    deciding: set[str] = set()
+
+    def counted(model, fn):
+        def decide(comp, phi):
+            if model.name in deciding:
+                return fn(comp, phi)
+            deciding.add(model.name)
+            decisions[(model.name, comp, phi)] += 1
+            try:
+                return fn(comp, phi)
+            finally:
+                deciding.discard(model.name)
+
+        return decide
+
+    for m in PAPER_MODELS:
+        # Instance entries shadow the methods and are removed on undo.
+        for attr in ("contains", "augmentation_stuck_locations"):
+            monkeypatch.setitem(vars(m), attr, counted(m, getattr(m, attr)))
+    edges = list(PAPER_EDGES)
+    for a, b in PAPER_INCOMPARABLE:
+        edges += [(a, b), (b, a)]
+    clear_sweep_caches()
+    battery, stats = parallel_lattice_battery(
+        SWEEP,
+        edges=edges,
+        constructibility=PAPER_MODELS,
+        thm23_probes=SWEEP.alphabet,
+        jobs=1,
+    )
+    assert stats.evaluated > 0 and battery.thm23[0] > 0
+    assert set(decisions.values()) == {1}
+    decisions.clear()
+    parallel_inclusion_matrix(PAPER_MODELS, SWEEP, jobs=1)
+    assert len(decisions) == len(PAPER_MODELS) * stats.evaluated
+    assert set(decisions.values()) == {1}
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_full_scan_counts_universe_pairs_and_evaluated_orbits(jobs):
     """``pairs`` is the universe's pair count on a full scan; only one
