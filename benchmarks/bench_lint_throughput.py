@@ -57,7 +57,6 @@ def _contexts(corpus):
             AnalysisContext(
                 comp,
                 target=name,
-                sp=info.sp,
                 lock_sections=info.lock_sections,
                 node_paths=info.node_paths,
                 names=info.names,
@@ -70,7 +69,6 @@ def _sweep(contexts):
     reports = []
     t0 = time.perf_counter()
     for ctx in contexts:
-        ctx.resolved_engine = None
         reports.append(run_analysis(ctx))
     return time.perf_counter() - t0, reports
 
@@ -140,7 +138,6 @@ def run(check: bool = True, quick: bool = False) -> dict:
                     {
                         "target": r.target,
                         "nodes": r.num_nodes,
-                        "engine": r.engine,
                         "findings": len(r.findings),
                         "errors": len(r.errors),
                         "clean": r.clean,

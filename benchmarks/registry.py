@@ -48,7 +48,7 @@ MANIFEST = (
         "races",
         "bench_races",
         20,
-        "race detection scaling: SP-bags vs the closure sweeps",
+        "race detection scaling: the witness pass vs the all-pairs oracle",
     ),
     BenchmarkSpec(
         "fig1-lattice",

@@ -2,10 +2,10 @@
 
 Registers the rule set of :mod:`repro.analysis.registry`:
 
-* ``RACE001`` — the determinacy-race pass, lockset-classified; data
-  races are errors, lock-mediated pairs notes.  ``auto`` runs SP-bags
-  when the computation is series-parallel (recorded SP expression or
-  :func:`sp_decompose`) and the exact closure sweep otherwise.
+* ``RACE001`` — the determinacy-race pass
+  (:func:`~repro.verify.races.race_witnesses`: one lockset-classified
+  witness pair per racy writer); data races are errors, lock-mediated
+  pairs notes.
 * ``LC001`` — trace consistency: replays a recorded execution through
   the :class:`~repro.verify.streaming.StreamingLCVerifier` in
   ``keep_going`` mode; every violating event is an error with its
@@ -18,13 +18,11 @@ Registers the rule set of :mod:`repro.analysis.registry`:
   warning (the program is not wrong, its outcome just depends on the
   model), an undecided verdict a note.
 
-This module also hosts the race engine itself —
+This module also hosts the race pass itself —
 :func:`lint_computation` with its :class:`Diagnostic` /
-:class:`LintReport` output — which :mod:`repro.verify` re-exports
-lazily.  Race detectors are imported from ``repro.verify``
-*submodules* directly (never the package's lazy names) so that the
-``repro.verify`` → ``repro.analysis`` re-export cannot form an import
-cycle.
+:class:`LintReport` output.  The detector is imported from the
+``repro.verify.races`` submodule directly, not the package, so that
+importing ``repro.analysis`` cannot form an import cycle.
 """
 
 from __future__ import annotations
@@ -42,17 +40,9 @@ from repro.analysis.registry import (
     register_rule,
 )
 from repro.core.computation import Computation
-from repro.dag.sp import SPNode, sp_decompose
-from repro.verify.races import find_races
-from repro.verify.spbags import (
-    classify_races,
-    node_locksets,
-    spbags_races,
-)
+from repro.verify.races import race_witnesses
 
-__all__ = ["Diagnostic", "LintReport", "lint_computation", "ENGINES"]
-
-ENGINES = ("auto", "closure")
+__all__ = ["Diagnostic", "LintReport", "lint_computation"]
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,6 @@ class LintReport:
     """Everything the race pass knows about one computation."""
 
     target: str
-    engine: str
     num_nodes: int
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
@@ -120,7 +109,6 @@ class LintReport:
     def to_dict(self) -> dict:
         return {
             "target": self.target,
-            "engine": self.engine,
             "nodes": self.num_nodes,
             "clean": self.clean,
             "races": len(self.diagnostics),
@@ -132,9 +120,7 @@ class LintReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render_text(self) -> str:
-        head = (
-            f"{self.target}: {self.num_nodes} nodes, engine={self.engine}"
-        )
+        head = f"{self.target}: {self.num_nodes} nodes"
         if not self.diagnostics:
             return f"{head}: clean — no races"
         lines = [
@@ -149,43 +135,23 @@ def lint_computation(
     comp: Computation,
     *,
     target: str = "<computation>",
-    engine: str = "auto",
-    sp: SPNode | None = None,
     lock_sections: Mapping[object, list[tuple[int, int]]] | None = None,
     node_paths: Sequence[str] | None = None,
     names: Mapping[str, int] | None = None,
 ) -> LintReport:
-    """Run the race analyzers over one computation.
+    """Run the race pass over one computation.
 
-    ``sp``, ``lock_sections``, ``node_paths`` and ``names`` are the
-    matching :class:`~repro.lang.cilk.UnfoldInfo` fields when the
-    computation came from ``unfold``; all optional (paths fall back to
-    node names, locks to the empty set, the SP expression to
-    :func:`sp_decompose`).  ``engine`` is ``auto`` (SP-bags on a
-    series-parallel dag, else the closure sweep) or ``closure``; the
-    report names the one that ran, ``sp-bags`` or ``closure``.
+    ``lock_sections``, ``node_paths`` and ``names`` are the matching
+    :class:`~repro.lang.cilk.UnfoldInfo` fields when the computation
+    came from ``unfold``; all optional (paths fall back to node names,
+    locks to the empty set).  Reports one witness pair per racy writer
+    (:func:`~repro.verify.races.race_witnesses`), so the report is
+    clean exactly when no pair of conflicting accesses is both
+    unordered and lock-free.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown lint engine {engine!r} (choose from {ENGINES})"
-        )
-    if engine == "auto" and sp is None:
-        sp = sp_decompose(comp.dag)
-        if sp is None:
-            engine = "closure"
-    with obs.span(
-        "verify.lint", target=target, engine=engine, nodes=comp.num_nodes
-    ) as spn:
-        if engine == "closure":
-            races = list(find_races(comp))
-        else:
-            engine = "sp-bags"
-            races = spbags_races(comp, sp)
-
-        locksets = node_locksets(comp, dict(lock_sections or {}))
-        classified = classify_races(races, locksets)
+    with obs.span("verify.lint", target=target, nodes=comp.num_nodes) as spn:
+        classified = race_witnesses(comp, lock_sections)
         if spn is not None:
-            spn.attrs["engine"] = engine
             spn.attrs["races"] = len(classified)
 
     label: dict[int, str | None] = {}
@@ -196,7 +162,7 @@ def lint_computation(
         for u, path in enumerate(node_paths):
             label.setdefault(u, path)
 
-    report = LintReport(target, engine, comp.num_nodes)
+    report = LintReport(target, comp.num_nodes)
     for c in classified:
         report.diagnostics.append(
             Diagnostic(
@@ -228,7 +194,7 @@ def lint_computation(
     "RACE001",
     name="determinacy-race",
     severity="error",
-    engines=("sp-bags", "closure"),
+    engines=("closure-mask",),
     doc="Determinacy races (incomparable conflicting accesses), "
     "classified by the locks held on both sides.",
 )
@@ -236,13 +202,10 @@ def _rule_determinacy_races(ctx: AnalysisContext) -> list[Finding]:
     report = lint_computation(
         ctx.comp,
         target=ctx.target,
-        engine=ctx.engine,
-        sp=ctx.sp,
         lock_sections=ctx.lock_sections,
         node_paths=ctx.node_paths,
         names=ctx.names,
     )
-    ctx.resolved_engine = report.engine
     findings: list[Finding] = []
     for d in report.diagnostics:
         severity = (

@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.core.computation import Computation
-from repro.dag.sp import SPNode
 
 if TYPE_CHECKING:
     from repro.runtime.trace import ExecutionTrace
@@ -124,7 +123,7 @@ class Finding:
 class AnalysisContext:
     """Everything the rules may inspect about one lint target.
 
-    ``sp``, ``lock_sections``, ``node_paths`` and ``names`` are the
+    ``lock_sections``, ``node_paths`` and ``names`` are the
     matching :class:`~repro.lang.cilk.UnfoldInfo` fields when the
     target came from ``unfold``; ``trace`` is set when the target is a
     serialized :class:`~repro.runtime.trace.ExecutionTrace` (rules
@@ -135,15 +134,11 @@ class AnalysisContext:
 
     comp: Computation
     target: str = "<computation>"
-    engine: str = "auto"
-    sp: SPNode | None = None
     lock_sections: Mapping[object, list[tuple[int, int]]] | None = None
     node_paths: Sequence[str] | None = None
     names: Mapping[str, int] | None = None
     trace: "ExecutionTrace | None" = None
     explicit: frozenset[str] = frozenset()
-    #: Set by RACE001 to the engine it actually ran ("sp-bags"/"closure").
-    resolved_engine: str | None = None
 
     def label(self, u: int) -> str | None:
         """The human-readable path of node ``u``, if one is known."""
@@ -287,15 +282,9 @@ def select_rules(
 
 @dataclass
 class AnalysisReport:
-    """Everything the engine knows about one lint target.
-
-    ``engine`` is the race-pass engine that actually ran (``sp-bags``
-    or ``closure``), kept at the top level for compatibility with the
-    PR 2 JSON shape; per-rule engines live in the registry.
-    """
+    """Everything the rules found about one lint target."""
 
     target: str
-    engine: str
     num_nodes: int
     findings: list[Finding] = field(default_factory=list)
     rules_run: tuple[str, ...] = ()
@@ -341,7 +330,6 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         out = {
             "target": self.target,
-            "engine": self.engine,
             "nodes": self.num_nodes,
             "clean": self.clean,
             "races": len(self.race_findings),
@@ -362,7 +350,7 @@ class AnalysisReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render_text(self) -> str:
-        head = f"{self.target}: {self.num_nodes} nodes, engine={self.engine}"
+        head = f"{self.target}: {self.num_nodes} nodes"
         if not self.findings:
             return f"{head}: clean — no races"
         order = {s: i for i, s in enumerate(SEVERITIES)}
@@ -423,7 +411,6 @@ def run_analysis(
         obs.add("analysis.runs")
     return AnalysisReport(
         target=ctx.target,
-        engine=ctx.resolved_engine or ctx.engine,
         num_nodes=ctx.comp.num_nodes,
         findings=findings,
         rules_run=tuple(ran),

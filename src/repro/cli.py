@@ -16,7 +16,7 @@ Commands
     and report which models admit it.
 ``lint``
     Static race analysis of a bundled program or a serialized
-    computation: SP-bags determinacy races, lockset classification,
+    computation: determinacy races, lockset classification,
     text or JSON diagnostics.  Exits 0 when data-race free, 2 otherwise
     — built for CI.
 ``bench``
@@ -49,7 +49,7 @@ Examples::
         --out /tmp/bad_trace.json
     python -m repro check /tmp/bad_trace.json
     python -m repro lint racy --format json
-    python -m repro lint /tmp/computation.json --engine closure
+    python -m repro lint /tmp/computation.json
     python -m repro reproduce --jobs 2 --trace out.json --trace-format chrome
     python -m repro bench --quick --compare
     python -m repro reproduce --jobs 4 --journal sweep.jsonl --live
@@ -237,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--size", type=int, default=None,
                       help="program size parameter (bundled programs only)")
-    lint.add_argument("--engine", choices=["auto", "closure"],
-                      default="auto",
-                      help="race-pass engine — auto: SP-bags when "
-                           "series-parallel, else the exact closure sweep")
     lint.add_argument("--format", choices=["text", "json", "sarif"],
                       default="text",
                       help="text (default), the PR 2-compatible JSON "
@@ -603,7 +599,6 @@ def _expand_lint_targets(targets: Sequence[str]) -> list[str]:
 def _lint_context(
     target: str,
     size: int | None,
-    engine: str,
     explicit: frozenset,
 ):
     """Build one :class:`~repro.analysis.AnalysisContext` per target."""
@@ -614,8 +609,6 @@ def _lint_context(
         return AnalysisContext(
             comp,
             target=target,
-            engine=engine,
-            sp=info.sp,
             lock_sections=info.lock_sections,
             node_paths=info.node_paths,
             names=info.names,
@@ -634,7 +627,7 @@ def _lint_context(
     else:  # every other document kind carries its computation
         comp = obj.computation if isinstance(obj, ObserverFunction) else obj.comp
     return AnalysisContext(
-        comp, target=target, engine=engine, trace=trace, explicit=explicit
+        comp, target=target, trace=trace, explicit=explicit
     )
 
 
@@ -686,7 +679,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     reports = [
         run_analysis(
-            _lint_context(target, args.size, args.engine, explicit),
+            _lint_context(target, args.size, explicit),
             rules,
         )
         for target in _expand_lint_targets(args.targets)

@@ -39,10 +39,6 @@ from repro.dag.sp import (
     parallel,
     random_sp,
     series,
-    sp_decompose,
-    sp_leaves,
-    sp_orders,
-    sp_precedes,
     sp_to_dag,
 )
 from repro.dag.toposort import (
@@ -88,9 +84,5 @@ __all__ = [
     "is_series_parallel",
     "balanced_sp",
     "random_sp",
-    "sp_leaves",
-    "sp_orders",
-    "sp_precedes",
     "all_sp_trees",
-    "sp_decompose",
 ]

@@ -151,95 +151,6 @@ def balanced_sp(depth: int, fanout: int = 2) -> SPNode:
     return series(leaf(), inner, leaf())
 
 
-def sp_leaves(expr: SPNode) -> list[SPNode]:
-    """The leaves of an SP expression in left-to-right order.
-
-    Iterative (explicit stack): unfolded programs can right-nest
-    thousands of serial ops, far past the recursion limit.
-    """
-    out: list[SPNode] = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if e.kind == "leaf":
-            out.append(e)
-        else:
-            stack.extend(reversed(e.children))
-    return out
-
-
-def sp_orders(expr: SPNode) -> tuple[dict[int, int], dict[int, int]]:
-    """Two linear extensions realizing the SP order (dimension ≤ 2).
-
-    Series-parallel partial orders are exactly the N-free orders, and
-    every such order has dimension at most two.  The realizer is
-    constructive: ``fwd`` ranks leaves by the plain left-to-right DFS,
-    ``rev`` by the DFS that visits the children of every *parallel*
-    node in reverse.  Then for leaves ``u, v``:
-
-    ``u ≺ v  ⟺  fwd[u] < fwd[v]  and  rev[u] < rev[v]``
-
-    and ``u ∥ v`` iff the two orders disagree (see :func:`sp_precedes`).
-    Keys are leaf payloads, falling back to the left-to-right leaf index
-    when the payload is ``None`` (matching :func:`sp_to_dag`'s node
-    numbering).  An O(1) comparability test after an O(n) setup, with
-    no transitive closure in sight — the backbone the SP-bags results
-    are validated on.  Iterative throughout: unfolded programs nest
-    thousands deep.
-    """
-    # Left-to-right leaf ids and subtree leaf counts (post-order, memo
-    # by object identity — shared subtree objects have equal counts).
-    counts: dict[int, int] = {}
-    stack: list[tuple[SPNode, bool]] = [(expr, False)]
-    while stack:
-        e, expanded = stack.pop()
-        if e.kind == "leaf":
-            counts[id(e)] = 1
-        elif expanded:
-            counts[id(e)] = sum(counts[id(c)] for c in e.children)
-        elif id(e) not in counts:
-            stack.append((e, True))
-            stack.extend((c, False) for c in e.children)
-
-    def leaf_id(e: SPNode, index: int) -> int:
-        return index if e.payload is None else int(e.payload)  # type: ignore[call-overload]
-
-    fwd: dict[int, int] = {}
-    for i, e in enumerate(sp_leaves(expr)):
-        fwd[leaf_id(e, i)] = i
-
-    # Reverse-parallel DFS; each frame carries the left-to-right index
-    # of its subtree's leftmost leaf so leaf ids resolve without payloads.
-    rev: dict[int, int] = {}
-    rank = 0
-    walk: list[tuple[SPNode, int]] = [(expr, 0)]
-    while walk:
-        e, lo = walk.pop()
-        if e.kind == "leaf":
-            rev[leaf_id(e, lo)] = rank
-            rank += 1
-            continue
-        placed = []
-        base = lo
-        for c in e.children:
-            placed.append((c, base))
-            base += counts[id(c)]
-        # Stack pops last-pushed first: push in visit order reversed.
-        if e.kind == "parallel":
-            walk.extend(placed)  # pops right-to-left — the flip
-        else:
-            walk.extend(reversed(placed))  # pops left-to-right
-    return fwd, rev
-
-
-def sp_precedes(
-    orders: tuple[dict[int, int], dict[int, int]], u: int, v: int
-) -> bool:
-    """Strict SP precedence ``u ≺ v`` from an :func:`sp_orders` realizer."""
-    fwd, rev = orders
-    return u != v and fwd[u] < fwd[v] and rev[u] < rev[v]
-
-
 def all_sp_trees(n_leaves: int) -> Iterator[SPNode]:
     """Every binary SP expression shape with the given number of leaves.
 
@@ -259,77 +170,6 @@ def all_sp_trees(n_leaves: int) -> Iterator[SPNode]:
             for right in all_sp_trees(n_leaves - split):
                 yield SPNode("series", (left, right))
                 yield SPNode("parallel", (left, right))
-
-
-def sp_decompose(dag: Dag) -> SPNode | None:
-    """Recover a series-parallel expression for a dag's precedence order.
-
-    Returns an :class:`SPNode` whose leaf payloads are the dag's node
-    ids and whose induced precedence equals ``dag.precedes``, or
-    ``None`` if the order is not series-parallel.  Works on the
-    *order*, not the edge set, so dags with redundant transitive edges
-    (as :mod:`repro.lang.cilk` emits) decompose fine.
-
-    The classic total-decomposition scheme: a parallel split is the
-    connected components of the comparability graph; a series split is
-    a prefix of a linear extension comparable to everything after it
-    (any linear extension lists a valid cut as a prefix, so one sweep
-    finds them all).  Splits are taken maximally k-ary, keeping the
-    recursion depth proportional to the alternation depth rather than
-    the node count.  ``O(n^2)`` per level — intended for verification
-    and for computations whose unfolding did not record an SP tree, not
-    for the hot path (use :attr:`repro.lang.cilk.UnfoldInfo.sp` there).
-    """
-    lt = dag.precedes
-
-    def solve(nodes: list[int]) -> SPNode | None:
-        if len(nodes) == 1:
-            return leaf(nodes[0])
-        # Parallel split: components of the comparability graph.
-        comp_of: dict[int, int] = {}
-        for u in nodes:
-            if u in comp_of:
-                continue
-            comp_of[u] = u
-            frontier = [u]
-            while frontier:
-                a = frontier.pop()
-                for b in nodes:
-                    if b not in comp_of and (lt(a, b) or lt(b, a)):
-                        comp_of[b] = u
-                        frontier.append(b)
-        groups: dict[int, list[int]] = {}
-        for u in nodes:
-            groups.setdefault(comp_of[u], []).append(u)
-        if len(groups) > 1:
-            parts = [solve(g) for g in groups.values()]
-            if any(p is None for p in parts):
-                return None
-            return SPNode("parallel", tuple(parts))  # type: ignore[arg-type]
-        # Series split: sweep one linear extension, cutting wherever the
-        # prefix is entirely before the rest.
-        order = sorted(
-            nodes, key=lambda u: sum(1 for v in nodes if lt(v, u))
-        )
-        segments: list[list[int]] = []
-        start = 0
-        for k in range(1, len(order)):
-            # Earlier segments already precede order[k:], so only the
-            # current segment needs checking against the suffix.
-            if all(lt(a, b) for a in order[start:k] for b in order[k:]):
-                segments.append(order[start:k])
-                start = k
-        segments.append(order[start:])
-        if len(segments) == 1:
-            return None  # connected, seriesless, multi-node: an N exists
-        parts = [solve(seg) for seg in segments]
-        if any(p is None for p in parts):
-            return None
-        return SPNode("series", tuple(parts))  # type: ignore[arg-type]
-
-    if dag.num_nodes == 0:
-        return None
-    return solve(list(range(dag.num_nodes)))
 
 
 def random_sp(
@@ -357,9 +197,5 @@ def random_sp(
 __all__ += [
     "balanced_sp",
     "random_sp",
-    "sp_leaves",
-    "sp_orders",
-    "sp_precedes",
     "all_sp_trees",
-    "sp_decompose",
 ]

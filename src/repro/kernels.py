@@ -1,15 +1,13 @@
-"""Bitset kernels: the hot loops behind closure, races, folds and LC.
+"""Bitset kernels: the hot loops behind closure, folds and LC.
 
-Transitive closure, the race sweep's row-wise reachability arithmetic,
-the inclusion fold and the quotient acyclicity check behind LC
-membership all reduce to bit-matrix work on small dags.  Python
-integers are arbitrary-precision bitsets whose AND/OR already run over
-machine words in C, so plain loops over them are the one
-implementation.  ``tests/test_kernels.py`` pins every function here to
-a naive oracle (DFS reachability, the quadratic race scan, a DFS cycle
-check, the direct inclusion product).  Each docstring is the contract:
-argument conventions, result types and result *order* are all part of
-it.
+Transitive closure, the inclusion fold and the quotient acyclicity
+check behind LC membership all reduce to bit-matrix work on small
+dags.  Python integers are arbitrary-precision bitsets whose AND/OR
+already run over machine words in C, so plain loops over them are the
+one implementation.  ``tests/test_kernels.py`` pins every function
+here to a naive oracle (DFS reachability, a DFS cycle check, the
+direct inclusion product).  Each docstring is the contract: argument
+conventions, result types and result *order* are all part of it.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Iterable, Sequence
 
 from repro.dag.digraph import bit_indices
 
-__all__ = ["closure", "inclusion_fold", "quotient_is_acyclic", "race_pairs"]
+__all__ = ["closure", "inclusion_fold", "quotient_is_acyclic"]
 
 
 def closure(
@@ -44,36 +42,6 @@ def closure(
             a |= anc[v]
         anc[u] = a
     return desc, anc
-
-
-def race_pairs(
-    n: int,
-    desc: Sequence[int],
-    anc: Sequence[int],
-    loc_masks: Sequence[tuple[int, int]],
-) -> list[tuple[int, int, int]]:
-    """Racing pairs against closure rows, in historical sweep order.
-
-    ``loc_masks`` holds one ``(access_mask, write_mask)`` bitset pair
-    per location, in the caller's location order.  For each location,
-    every writer races with every incomparable accessor; write-write
-    pairs are emitted from the smaller node id only.  Returns
-    ``(loc_index, w, other)`` triples ordered by location index, then
-    writer ascending, then partner ascending — ``w`` is the writer the
-    pair was emitted from (not necessarily ``min``), matching
-    :func:`repro.verify.races.find_races`.
-    """
-    out: list[tuple[int, int, int]] = []
-    for li, (amask, wmask) in enumerate(loc_masks):
-        if not wmask:
-            continue
-        for w in bit_indices(wmask):
-            bit = 1 << w
-            incomparable = amask & ~(anc[w] | desc[w] | bit)
-            partners = incomparable & ~(wmask & (bit - 1))
-            for other in bit_indices(partners):
-                out.append((li, w, other))
-    return out
 
 
 def inclusion_fold(

@@ -39,7 +39,6 @@ from typing import Any, Callable
 from repro.core.builder import ComputationBuilder
 from repro.core.computation import Computation
 from repro.core.ops import N, Op, R, W, Location
-from repro.dag.sp import SPNode
 
 __all__ = ["CilkContext", "UnfoldInfo", "unfold"]
 
@@ -50,17 +49,13 @@ class _Frame:
 
     ``current_deps`` is the set of node ids the frame's next operation
     must depend on (more than one immediately after a sync); ``pending``
-    collects the final dependency sets of unsynced children.  ``events``
-    is the frame's serial history — ``("op", node_id)``,
-    ``("spawn", child_frame)`` and ``("sync",)`` entries — from which
-    the series-parallel expression of the unfolding is rebuilt for the
-    SP-bags race analyzer.  ``path`` names the frame for diagnostics
-    ("main", "main/s3", ...); ``op_count`` numbers its ops.
+    collects the final dependency sets of unsynced children.  ``path``
+    names the frame for diagnostics ("main", "main/s3", ...);
+    ``op_count`` numbers its ops.
     """
 
     current_deps: tuple[int, ...]
     pending: list[tuple[int, ...]] = field(default_factory=list)
-    events: list[tuple] = field(default_factory=list)
     path: str = "main"
     op_count: int = 0
     spawn_seq: int = 0
@@ -82,13 +77,6 @@ class UnfoldInfo:
         pairs emitted by :meth:`CilkContext.lock`, in unfold order.  The
         plain computation does *not* order sections on the same lock —
         that is a memory-model-level choice; see :mod:`repro.locks`.
-    sp:
-        The series-parallel expression of the unfolding: an
-        :class:`~repro.dag.sp.SPNode` whose leaf payloads are node ids
-        (``None`` for an empty program).  Its precedence relation equals
-        the computation dag's (the dag may carry extra transitive
-        edges), which is what lets the near-linear SP-bags analyzer
-        (:mod:`repro.verify.spbags`) skip the transitive closure.
     node_paths:
         Per node, a human-readable source path ``frame:opindex`` where
         frames are named ``main`` / ``main/s<k>`` by spawn position —
@@ -101,7 +89,6 @@ class UnfoldInfo:
     lock_sections: dict[object, list[tuple[int, int]]] = field(
         default_factory=dict
     )
-    sp: SPNode | None = None
     node_paths: tuple[str, ...] = ()
 
 
@@ -135,7 +122,6 @@ class CilkContext:
         frame = self._frame
         node = self._rec.builder.add(op, name=name, after=frame.current_deps)
         frame.current_deps = (node.node_id,)
-        frame.events.append(("op", node.node_id))
         self._rec.node_paths[node.node_id] = f"{frame.path}:{frame.op_count}"
         frame.op_count += 1
         return node.node_id
@@ -157,7 +143,6 @@ class CilkContext:
         parent.spawn_seq += 1
         child_ctx = CilkContext(self._rec, child_frame)
         self._rec.spawn_count += 1
-        parent.events.append(("spawn", child_frame))
         fn(child_ctx, *args, **kwargs)
         # Implicit sync at child return: its final deps include any
         # children it did not sync itself.
@@ -167,7 +152,6 @@ class CilkContext:
     def sync(self) -> None:
         """Join all children spawned since the last sync."""
         self._rec.sync_count += 1
-        self._frame.events.append(("sync",))
         self._frame.current_deps = _join(
             self._frame.current_deps, self._frame.pending
         )
@@ -237,86 +221,6 @@ class _Recorder:
         self.node_paths: dict[int, str] = {}
 
 
-def _compose(kind: str, head: SPNode, rest: SPNode | None) -> SPNode:
-    """Prepend ``head`` to ``rest`` under ``kind``, flattening.
-
-    Series and parallel composition are associative, so same-kind
-    children are spliced in directly.  This keeps the expression tree
-    shallow — a serial chain of *k* ops is one series node with *k*
-    children rather than a depth-*k* right spine, which matters because
-    unfolded programs emit thousands of serial ops and every consumer
-    walks the tree iteratively but proportionally to its depth.
-    """
-    if rest is None:
-        return head
-    parts: list[SPNode] = []
-    for e in (head, rest):
-        if e.kind == kind:
-            parts.extend(e.children)
-        else:
-            parts.append(e)
-    return SPNode(kind, tuple(parts))
-
-
-def _frame_sp(
-    frame: _Frame, child_sp: dict[int, SPNode | None]
-) -> SPNode | None:
-    """The SP expression of one frame, given its children's expressions.
-
-    The frame's event list is split into *segments* at syncs (with an
-    implicit final sync, as in Cilk); segments compose in series.
-    Within a segment the fold runs right to left: an op precedes the
-    segment's remainder in series, a spawned child runs in parallel
-    with it.  Empty children and empty segments contribute nothing.
-    """
-    segments: list[list[tuple]] = [[]]
-    for ev in frame.events:
-        if ev[0] == "sync":
-            segments.append([])
-        else:
-            segments[-1].append(ev)
-
-    seg_sps: list[SPNode] = []
-    for seg in segments:
-        acc: SPNode | None = None
-        for ev in reversed(seg):
-            if ev[0] == "op":
-                acc = _compose("series", SPNode("leaf", (), ev[1]), acc)
-            else:  # spawn
-                csp = child_sp[id(ev[1])]
-                if csp is not None:
-                    acc = _compose("parallel", csp, acc)
-        if acc is not None:
-            seg_sps.append(acc)
-
-    out: SPNode | None = None
-    for s in reversed(seg_sps):
-        out = _compose("series", s, out)
-    return out
-
-
-def _build_sp(root: _Frame) -> SPNode | None:
-    """Assemble the whole unfolding's SP expression, bottom-up.
-
-    Iterative: frames are listed in DFS preorder (parents before their
-    spawned children) and folded in reverse, so every child's
-    expression exists before its parent needs it — no recursion, no
-    depth limit.
-    """
-    frames: list[_Frame] = []
-    stack = [root]
-    while stack:
-        f = stack.pop()
-        frames.append(f)
-        for ev in f.events:
-            if ev[0] == "spawn":
-                stack.append(ev[1])
-    child_sp: dict[int, SPNode | None] = {}
-    for f in reversed(frames):
-        child_sp[id(f)] = _frame_sp(f, child_sp)
-    return child_sp[id(root)]
-
-
 def unfold(
     program: Callable[..., Any], *args: Any, **kwargs: Any
 ) -> tuple[Computation, UnfoldInfo]:
@@ -338,7 +242,6 @@ def unfold(
         spawn_count=rec.spawn_count,
         sync_count=rec.sync_count,
         lock_sections={k: list(v) for k, v in rec.lock_sections.items()},
-        sp=_build_sp(root),
         node_paths=tuple(
             rec.node_paths[i] for i in range(comp.dag.num_nodes)
         ),

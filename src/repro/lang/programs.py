@@ -238,7 +238,7 @@ def locked_counter_computation(
     read-modify-write pairs run under ``with ctx.lock(lock)``, so the
     bare dag's determinacy races are all *lock-mediated*: any
     serialization of the sections (:mod:`repro.locks`) orders them, and
-    the lockset analyzer (:mod:`repro.verify.spbags`) classifies the
+    the lockset analyzer (:mod:`repro.verify.races`) classifies the
     program as data-race free.  Pass ``lock=None`` to drop the locks
     and recover the racy variant — handy for lint fixtures needing a
     clean/racy pair of equal shape.

@@ -666,20 +666,18 @@ def _tracked_caches() -> dict[str, Any]:
     from repro.models.constructibility import _extension_pairs
     from repro.models.location_consistency import _lc_row_set
     from repro.models.sequential import _sc_row_sets
-    from repro.verify.races import _find_races_cached
 
     # Every ``lru_cache`` memoization in the library must appear here:
     # this registry is what ``clear_sweep_caches`` (the long-running
     # server's between-batches hook) and the cache-size gauges see, so
     # an untracked cache is an unbounded-in-practice leak across a
     # server's lifetime even when its entry *count* is capped (keys
-    # pin whole computations).  ``find_races`` and ``merged_locations``
-    # were exactly that until the serve work audited them in.
+    # pin whole computations).  ``merged_locations`` was exactly that
+    # until the serve work audited it in.
     return {
         "augment": _augmented,
         "canonical_form": _canonical_form_cached,
         "extension_pairs": _extension_pairs,
-        "find_races": _find_races_cached,
         "last_writer_row": _last_writer_row_cached,
         "lc_row_set": _lc_row_set,
         "merged_locations": _merged_locations_cached,

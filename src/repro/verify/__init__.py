@@ -10,10 +10,9 @@ The entry points take a :class:`~repro.runtime.trace.PartialObserver`
 * :func:`admits` — the one admission check on top of them (model name +
   document → ``True``/``False``/``None``, the SC cap and the budget).
 
-Static analysis lives here too: the exact race sweep
-(:mod:`repro.verify.races`) and the near-linear SP-bags detector with
-lockset classification (:mod:`repro.verify.spbags`); the lint engine
-behind ``repro lint`` builds on them in
+Static analysis lives here too: the race pass with lockset
+classification and its all-pairs oracle (:mod:`repro.verify.races`);
+the lint engine behind ``repro lint`` builds on it in
 :mod:`repro.analysis.race_rules`.  The incremental LC engine
 (:class:`StreamingLCVerifier`) both checks completed traces and rides
 inside the executor as a trace sanitizer.
@@ -40,17 +39,14 @@ from repro.verify.causal_trace import (
     trace_admits_cc,
 )
 from repro.verify.races import (
-    Race,
-    find_races,
-    find_races_naive,
-    is_race_free,
-    racy_locations,
-)
-from repro.verify.spbags import (
     ClassifiedRace,
+    Race,
     classify_races,
+    find_races,
+    is_race_free,
     node_locksets,
-    spbags_races,
+    race_witnesses,
+    racy_locations,
 )
 from repro.verify.streaming import StreamingLCVerifier, StreamingViolation
 
@@ -64,10 +60,9 @@ __all__ = [
     "find_completion",
     "Race",
     "find_races",
-    "find_races_naive",
+    "race_witnesses",
     "is_race_free",
     "racy_locations",
-    "spbags_races",
     "node_locksets",
     "classify_races",
     "ClassifiedRace",

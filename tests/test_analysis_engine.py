@@ -31,6 +31,9 @@ from repro.analysis import (
     validate_sarif,
     write_baseline,
 )
+from repro.analysis.race_rules import lint_computation
+from repro.core import Computation, N, R, W
+from repro.dag import Dag
 from repro.lang import (
     deadlock_computation,
     iriw_computation,
@@ -55,7 +58,6 @@ def _ctx(factory, target="t", **kwargs):
     return AnalysisContext(
         comp,
         target=target,
-        sp=info.sp,
         lock_sections=info.lock_sections,
         node_paths=info.node_paths,
         names=info.names,
@@ -125,7 +127,7 @@ class TestReportShape:
         )
         d = report.to_dict()
         assert d["target"] == "racy"
-        assert d["engine"] == "sp-bags"
+        assert "engine" not in d
         assert not d["clean"]
         assert d["data_races"] > 0
         assert d["races"] == len(d["diagnostics"])
@@ -146,6 +148,34 @@ class TestReportShape:
         text = report.render_text()
         assert "1 error(s)" in text and "note(s)" in text
         assert "[DL001 error]" in text
+
+
+class TestRaceRule:
+    @staticmethod
+    def _hidden_race():
+        """A fork ``s``; branch 1 ``a1 → R1(x) → rel1`` under lock L;
+        branch 2 ``R2(x)`` holding no lock; branch 3 ``a3 → W3(x) →
+        rel3`` under L; then a join.  W3 races with both reads: with R1
+        through the common lock, with R2 as a data race."""
+        s, a1, r1, rel1, r2, a3, w3, rel3, j = range(9)
+        edges = [
+            (s, a1), (a1, r1), (r1, rel1), (rel1, j),
+            (s, r2), (r2, j),
+            (s, a3), (a3, w3), (w3, rel3), (rel3, j),
+        ]
+        ops = (N, N, R("x"), N, R("x"), N, W("x"), N, N)
+        comp = Computation(Dag(9, edges), ops)
+        return comp, {"L": [(a1, rel1), (a3, rel3)]}
+
+    def test_lock_mediated_pair_does_not_hide_a_data_race(self):
+        """The lock-free read R2 races with W3 even though the locked
+        read R1 races with it too: the lint must not be clean."""
+        comp, sections = self._hidden_race()
+        report = lint_computation(comp, lock_sections=sections)
+        assert not report.clean
+        data = [(d.u, d.v) for d in report.data_races]
+        assert data == [(4, 6)]
+        assert report.data_races[0].kind == "read-write"
 
 
 class TestDeadlockRule:
@@ -189,7 +219,6 @@ class TestDeadlockRule:
         ctx = AnalysisContext(
             comp,
             target="serialized",
-            sp=info.sp,
             lock_sections=info.lock_sections,
             node_paths=info.node_paths,
             names=info.names,
@@ -259,7 +288,6 @@ class TestTraceRules:
             ctx = AnalysisContext(
                 comp,
                 target=f"trace-{seed}",
-                sp=info.sp,
                 lock_sections=info.lock_sections,
                 node_paths=info.node_paths,
                 names=info.names,

@@ -139,20 +139,12 @@ class TestLint:
         assert rc == 2
         data = json.loads(out)
         assert data["clean"] is False
-        assert data["engine"] == "sp-bags"
+        assert "engine" not in data
         assert data["data_races"] == len(data["diagnostics"])
         d = data["diagnostics"][0]
         assert set(d) == {
             "loc", "kind", "classification", "u", "v", "locks_u", "locks_v",
         }
-
-    def test_closure_engine_enumerates_all_pairs(self, capsys):
-        main(["lint", "racy", "--format", "json"])
-        spbags = json.loads(capsys.readouterr().out)
-        main(["lint", "racy", "--format", "json", "--engine", "closure"])
-        closure = json.loads(capsys.readouterr().out)
-        assert closure["engine"] == "closure"
-        assert closure["races"] >= spbags["races"]
 
     def test_lint_serialized_computation(self, capsys, tmp_path):
         from repro.io import dumps

@@ -4,10 +4,9 @@ Every function in :mod:`repro.kernels` is pinned *sequence-equal* to a
 deliberately simple oracle — same values, same order, same python
 types:
 
-* ``closure`` against DFS reachability;
-* ``race_pairs`` (through :func:`repro.verify.races.find_races`, its
-  one caller) against the per-pair sweep
-  :func:`repro.verify.races.find_races_naive`;
+* ``closure`` against DFS reachability (and, through
+  :func:`repro.verify.races.find_races`, the race sweep built on its
+  rows against a direct pairwise scan);
 * ``quotient_is_acyclic`` against a DFS cycle check;
 * ``inclusion_fold`` against the direct product.
 
@@ -25,11 +24,11 @@ import pytest
 
 from repro import kernels
 from repro.core.computation import Computation
-from repro.core.ops import N, R, W
+from repro.core.ops import R, W
 from repro.dag.digraph import Dag
 from repro.dag.enumerate import ordered_dags
 from repro.models import Universe
-from repro.verify.races import _find_races_impl, find_races_naive
+from repro.verify.races import find_races
 
 
 def _random_dag(rng: random.Random, n: int, density: float) -> Dag:
@@ -120,52 +119,29 @@ def test_closure_parity_extreme_densities():
 
 
 # ---------------------------------------------------------------------------
-# Race pairs vs the naive per-pair sweep
+# Races on closure rows vs a direct pairwise scan
 # ---------------------------------------------------------------------------
 
 
-def _assert_races_match_naive(dag: Dag, ops) -> None:
-    comp = Computation(dag, ops)
-    assert list(_find_races_impl(comp)) == list(find_races_naive(comp))
-
-
-@pytest.mark.parametrize(
-    "n", [1, 5, 17, 63, 64, 65, 100], ids=lambda n: f"n{n}"
-)
-def test_race_pairs_parity(n):
-    rng = random.Random(0xACE5 + n)
-    alphabet = [N] + [f(loc) for loc in ("x", "y", "z") for f in (R, W)]
-    for density in (0.1, 0.5):
-        dag = _random_dag(rng, n, density)
-        _assert_races_match_naive(dag, [rng.choice(alphabet) for _ in range(n)])
-
-
-def test_race_pairs_parity_empty_and_full_masks():
-    n = 70
-    dag = _random_dag(random.Random(7), n, 0.3)
-    straddle = [N] * n  # accessors straddle the word boundary
-    straddle[0], straddle[64], straddle[69] = R("x"), W("x"), R("x")
-    for ops in (
-        [N] * n,  # no location at all
-        [W("x")] * n,  # everything writes: all write-write
-        [W("x")] + [R("x")] * (n - 1),  # single writer, everyone reads
-        [R("x")] * n,  # readers only: never a race
-        straddle,
-    ):
-        _assert_races_match_naive(dag, ops)
-
-
 def test_find_races_matches_naive_on_random_computations():
-    """End-to-end through the memoized public entry point."""
-    from repro.verify.races import find_races
-
+    """Every conflicting unordered pair, once, from ``dag.precedes``."""
     rng = random.Random(21)
     for _ in range(20):
         n = rng.randint(1, 9)
         dag = _random_dag(rng, n, 0.4)
         ops = [rng.choice((R("x"), W("x"), R("y"), W("y"))) for _ in range(n)]
         comp = Computation(dag, ops)
-        assert list(find_races(comp)) == list(find_races_naive(comp))
+        expected = {
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if ops[u].loc == ops[v].loc
+            and (ops[u].is_write or ops[v].is_write)
+            and not dag.comparable(u, v)
+        }
+        got = [(r.u, r.v) for r in find_races(comp)]
+        assert len(got) == len(set(got))
+        assert set(got) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -851,30 +851,23 @@ class TestHeartbeatInterval:
 # ---------------------------------------------------------------------------
 
 
-def test_find_races_and_merged_locations_are_tracked():
-    """Regression: these two memoized helpers were invisible to the
+def test_merged_locations_is_tracked():
+    """Regression: this memoized helper was invisible to the
     sweep-cache registry, so a long-running server could neither reset
-    nor observe them between batches."""
+    nor observe it between batches."""
     from repro.core.ops import merged_locations
     from repro.runtime.parallel import sweep_cache_info
-    from repro.lang import racy_counter_computation
-    from repro.verify import find_races
 
     clear_sweep_caches()
     info = sweep_cache_info()
-    assert info["find_races"]["currsize"] == 0
     assert info["merged_locations"]["currsize"] == 0
 
-    comp = racy_counter_computation(2, 2)[0]
-    list(find_races(comp))
     merged_locations(("x",), ("y",))
     info = sweep_cache_info()
-    assert info["find_races"]["currsize"] == 1
     assert info["merged_locations"]["currsize"] == 1
 
     clear_sweep_caches()
     info = sweep_cache_info()
-    assert info["find_races"]["currsize"] == 0
     assert info["merged_locations"]["currsize"] == 0
 
 

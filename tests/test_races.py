@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 
 from repro.core import Computation, N, R, W
-from repro.dag import Dag
+from repro.dag import Dag, gnp_dag
 from repro.dag.sp import all_sp_trees, random_sp, sp_to_dag
 from repro.lang import (
     deadlock_computation,
@@ -19,12 +19,15 @@ from repro.lang import (
     stencil_computation,
     store_buffer_computation,
     tree_sum_computation,
+    unfold,
 )
 from repro.models import LC
 from repro.verify import (
+    classify_races,
     find_races,
-    find_races_naive,
     is_race_free,
+    node_locksets,
+    race_witnesses,
     racy_locations,
 )
 from tests.conftest import computations
@@ -88,24 +91,77 @@ class TestWorkloads:
         assert {r.kind for r in races} == {"read-write"}
 
 
-class TestFastEqualsNaive:
-    """The bitset-row sweep is a drop-in for the historical per-pair one.
+def assert_witness_contract(comp, lock_sections=None):
+    """:func:`race_witnesses` against the all-pairs oracle.
 
-    Not just the same *set* — the same *sequence*: the rewrite dedupes
-    write-write pairs by emitting from the smaller id only, which is
-    exactly the first-encounter order the old seen-set produced.  The
-    per-location mask test behind :func:`racy_locations` and
+    The same racy locations; no pair twice; every reported pair is a
+    real race with the oracle's kind and classification; every racy
+    writer is in a reported pair; every writer with a data-race partner
+    is in a reported data-race pair.
+    """
+    lock_sections = lock_sections or {}
+    locksets = node_locksets(comp, lock_sections)
+    oracle = {
+        (c.race.loc, c.race.u, c.race.v): c
+        for c in classify_races(find_races(comp), locksets)
+    }
+    witnesses = race_witnesses(comp, lock_sections)
+    keys = [(c.race.loc, c.race.u, c.race.v) for c in witnesses]
+    assert {k[0] for k in keys} == {k[0] for k in oracle}
+    assert len(keys) == len(set(keys))
+    for key, c in zip(keys, witnesses):
+        assert key in oracle, key
+        assert c.race.kind == oracle[key].race.kind
+        assert c.classification == oracle[key].classification
+        assert (c.locks_u, c.locks_v) == (
+            locksets[c.race.u],
+            locksets[c.race.v],
+        )
+
+    def writers(pairs):
+        return {
+            x
+            for c in pairs
+            for x in (c.race.u, c.race.v)
+            if comp.ops[x].is_write
+        }
+
+    assert writers(oracle.values()) <= writers(witnesses)
+    data = [c for c in witnesses if c.classification == "data-race"]
+    assert writers(
+        c for c in oracle.values() if c.classification == "data-race"
+    ) <= writers(data)
+
+
+def random_lock_sections(rng, dag, n_locks=2, max_sections=3):
+    """Sections ``(a, r)`` with ``a ⪯ r`` on up to ``n_locks`` locks."""
+    sections = {}
+    for lock in range(n_locks):
+        for _ in range(rng.randint(0, max_sections)):
+            a = rng.randrange(dag.num_nodes)
+            later = [a] + list(dag.descendants(a))
+            sections.setdefault(f"L{lock}", []).append(
+                (a, rng.choice(later))
+            )
+    return sections
+
+
+class TestFastEqualsNaive:
+    """The mask tests agree with the all-pairs oracle :func:`find_races`.
+
+    The per-location mask test behind :func:`racy_locations` and
     :func:`is_race_free` lists no pairs, so its answers are pinned to
-    the locations of the naive pairs.
+    the locations of the oracle's pairs; :func:`race_witnesses` lists
+    one pair per racy writer, pinned by its contract.
     """
 
     @staticmethod
     def assert_same(comp):
-        naive = list(find_races_naive(comp))
-        assert list(find_races(comp)) == naive
-        locs = sorted({r.loc for r in naive}, key=repr)
+        pairs = list(find_races(comp))
+        locs = sorted({r.loc for r in pairs}, key=repr)
         assert racy_locations(comp) == locs
         assert is_race_free(comp) == (not locs)
+        assert_witness_contract(comp)
 
     @given(computations(max_nodes=6, locations=("x", "y")))
     @settings(max_examples=150, deadline=None)
@@ -175,9 +231,121 @@ class TestFastEqualsNaive:
             self.assert_same(comp)
 
     def test_memoized_across_calls(self):
+        """Repeated sweeps of one computation list the same pairs."""
         comp = racy_counter_computation(3, 2)[0]
         first = list(find_races(comp))
         assert list(find_races(comp)) == first
+
+
+class TestWitnesses:
+    """The witness contract, with and without lock sections."""
+
+    def test_exhaustive_sp_universes_rw(self):
+        """Every SP shape with ≤ 4 nodes × every R/W labelling, bare
+        and under each single lock section ``(a, r)``, ``a ⪯ r``."""
+        checked = 0
+        for n in range(1, 5):
+            for tree in all_sp_trees(n):
+                dag, _ = sp_to_dag(tree)
+                sections = [
+                    (a, r)
+                    for a in range(n)
+                    for r in range(n)
+                    if dag.precedes_eq(a, r)
+                ]
+                for ops in itertools.product((R("x"), W("x")), repeat=n):
+                    comp = Computation(dag, ops)
+                    assert_witness_contract(comp)
+                    for sec in sections:
+                        assert_witness_contract(comp, {"L": [sec]})
+                    checked += 1
+        assert checked == 1 * 2 + 2 * 4 + 8 * 8 + 40 * 16
+
+    def test_random_gnp_dags_with_locks(self):
+        """600 random dags, most not series-parallel, with sections."""
+        alphabet = (R("x"), W("x"), R("y"), W("y"), N)
+        for seed in range(600):
+            rng = random.Random(seed)
+            n = rng.randint(1, 16)
+            dag = gnp_dag(n, rng.choice((0.1, 0.25, 0.5)), rng)
+            ops = tuple(rng.choice(alphabet) for _ in range(n))
+            assert_witness_contract(
+                Computation(dag, ops), random_lock_sections(rng, dag)
+            )
+
+    def test_unfolded_programs_with_locks(self):
+        for comp, info in (
+            locked_counter_computation(3, 2),
+            deadlock_computation(),
+            racy_counter_computation(4, 3),
+        ):
+            assert_witness_contract(comp, info.lock_sections)
+
+    def test_one_pair_per_racy_writer(self):
+        """racy_counter(8, 4): 8 × 4 racy increments, one pair each."""
+        comp, _ = racy_counter_computation(8, 4)
+        witnesses = race_witnesses(comp)
+        assert len(witnesses) == 8 * 4
+        assert sum(1 for _ in find_races(comp)) > 10 * len(witnesses)
+
+
+class TestLocksets:
+    def test_locked_counter_is_lock_mediated(self):
+        comp, info = locked_counter_computation(3, 2)
+        classified = race_witnesses(comp, info.lock_sections)
+        assert classified, "the bare dag must still race"
+        assert all(c.classification == "lock-mediated" for c in classified)
+        assert all("L" in c.locks_u and "L" in c.locks_v for c in classified)
+
+    def test_unlocked_counter_is_data_race(self):
+        comp, info = racy_counter_computation(3, 2)
+        classified = race_witnesses(comp, info.lock_sections)
+        assert classified
+        assert all(c.classification == "data-race" for c in classified)
+
+    def test_wrong_locks_stay_data_races(self):
+        """Two different locks look synchronized but are not."""
+
+        def task(ctx, lock_name):
+            with ctx.lock(lock_name):
+                ctx.read("ctr")
+                ctx.write("ctr")
+
+        def main(ctx):
+            ctx.write("ctr")
+            ctx.spawn(task, "L1")
+            ctx.spawn(task, "L2")
+            ctx.sync()
+            ctx.read("ctr")
+
+        comp, info = unfold(main)
+        classified = race_witnesses(comp, info.lock_sections)
+        assert classified
+        assert all(c.classification == "data-race" for c in classified)
+        assert any(c.locks_u and c.locks_v for c in classified), (
+            "both sides hold locks — just not a common one"
+        )
+
+    def test_unsynced_spawn_escapes_section(self):
+        """A child spawned inside a section is not covered by the lock."""
+
+        def child(ctx):
+            ctx.write("x")
+
+        def main(ctx):
+            with ctx.lock("L"):
+                ctx.spawn(child)  # no sync before release: escapes
+                ctx.write("x")
+            ctx.sync()
+
+        comp, info = unfold(main)
+        locksets = node_locksets(comp, info.lock_sections)
+        (escaped,) = [
+            u for u in range(comp.num_nodes) if "s0" in info.node_paths[u]
+        ]
+        assert locksets[escaped] == frozenset()
+        classified = race_witnesses(comp, info.lock_sections)
+        assert any(c.classification == "data-race" for c in classified)
 
 
 class TestRaceFreedomTheorem:

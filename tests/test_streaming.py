@@ -30,8 +30,8 @@ from repro.runtime import (
 )
 from repro.verify import (
     StreamingLCVerifier,
+    find_races,
     racy_locations,
-    spbags_races,
     trace_admits_lc,
 )
 from tests.conftest import computations
@@ -290,8 +290,8 @@ class TestAgreement:
 
         No violation collected ⇔ LC, and the first collected violation
         is the halting one.  A faithful memory (drop 0) trips nothing.
-        Per workload, SP-bags and the closure sweep name the same racy
-        locations.
+        Per workload, the all-pairs sweep and the location mask test
+        name the same racy locations.
         """
         workloads = [
             racy_counter_computation(4, 3),
@@ -299,7 +299,7 @@ class TestAgreement:
         ]
         flagged = 0
         for comp, info in workloads:
-            assert {r.loc for r in spbags_races(comp, info.sp)} == set(
+            assert {r.loc for r in find_races(comp)} == set(
                 racy_locations(comp)
             )
             for drop in (0.0, 0.5, 1.0):
