@@ -27,7 +27,6 @@ importing ``repro.analysis`` cannot form an import cycle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -105,30 +104,6 @@ class LintReport:
     def clean(self) -> bool:
         """True iff no *data* race was found (lock-mediated pairs pass)."""
         return not self.data_races
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "nodes": self.num_nodes,
-            "clean": self.clean,
-            "races": len(self.diagnostics),
-            "data_races": len(self.data_races),
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render_text(self) -> str:
-        head = f"{self.target}: {self.num_nodes} nodes"
-        if not self.diagnostics:
-            return f"{head}: clean — no races"
-        lines = [
-            f"{head}: {len(self.diagnostics)} race(s), "
-            f"{len(self.data_races)} data race(s)"
-        ]
-        lines += [f"  {d.render()}" for d in self.diagnostics]
-        return "\n".join(lines)
 
 
 def lint_computation(

@@ -70,9 +70,9 @@ class Dag:
         "_n",
         "_succ",
         "_pred",
+        "_pred_tuples",
         "_edges",
-        "_desc",
-        "_anc",
+        "_closure_rows",
         "_topo",
         "_hash",
     )
@@ -98,9 +98,11 @@ class Dag:
             pred[v] |= 1 << u
         self._succ: list[int] = succ
         self._pred: list[int] = pred
+        self._pred_tuples: tuple[tuple[int, ...], ...] | None = None
         self._edges: frozenset[tuple[int, int]] = frozenset(edge_set)
-        self._desc: list[int] | None = None
-        self._anc: list[int] | None = None
+        # (descendant rows, ancestor rows), built on first use; one slot
+        # for both keeps every Dag instance as small as it was.
+        self._closure_rows: tuple[list[int], list[int]] | None = None
         self._topo: tuple[int, ...] = self._toposort_once()
         self._hash: int | None = None
 
@@ -134,6 +136,13 @@ class Dag:
     def predecessors(self, u: int) -> Iterator[int]:
         """Iterate over direct predecessors of ``u``."""
         return bit_indices(self._pred[u])
+
+    @property
+    def predecessor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Direct predecessors of every node, ascending (built once)."""
+        if self._pred_tuples is None:
+            self._pred_tuples = tuple(tuple(bit_indices(m)) for m in self._pred)
+        return self._pred_tuples
 
     def successor_mask(self, u: int) -> int:
         """Direct successors of ``u`` as a bitset."""
@@ -189,14 +198,13 @@ class Dag:
 
         Delegates to :func:`repro.kernels.closure`.
         """
-        if self._desc is None:
+        if self._closure_rows is None:
             from repro import kernels
 
-            self._desc, self._anc = kernels.closure(
+            self._closure_rows = kernels.closure(
                 self._n, self._succ, self._pred, self._topo
             )
-        assert self._anc is not None
-        return self._desc, self._anc
+        return self._closure_rows
 
     def descendants_mask(self, u: int) -> int:
         """Bitset of nodes strictly reachable from ``u`` (``u`` excluded)."""

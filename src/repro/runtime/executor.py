@@ -27,7 +27,11 @@ and the executor maintains ``executor.*`` counters (nodes, reads,
 writes), ``sanitizer.events`` / ``sanitizer.violations`` when a
 sanitizer rides along, plus the memory's coherence-message counters
 (``backer.*``, emitted by :class:`repro.runtime.backer.BackerMemory`
-itself).
+itself).  An untraced run does none of this bookkeeping: its loop
+walks the schedule's precomputed order and cross-processor flags
+(:attr:`~repro.runtime.scheduler.Schedule.order`,
+:attr:`~repro.runtime.scheduler.Schedule.cross_flags`) and dispatches
+on each op's kind.
 """
 
 from __future__ import annotations
@@ -88,15 +92,13 @@ def _execute_body(
     memory.attach(schedule.num_procs)
     trace = ExecutionTrace(comp, schedule, memory.name)
     proc_of = schedule.proc_of
-
-    cross_pred = [
-        any(proc_of[u] != proc_of[v] for u in comp.dag.predecessors(v))
-        for v in comp.nodes()
-    ]
-    cross_succ = [
-        any(proc_of[u] != proc_of[v] for v in comp.dag.successors(u))
-        for u in comp.nodes()
-    ]
+    cross_pred, cross_succ = schedule.cross_flags
+    ops = comp.ops
+    preds = comp.dag.predecessor_tuples
+    node_starting, node_completed = memory.node_starting, memory.node_completed
+    read, write = memory.read, memory.write
+    on_node = None if sanitizer is None else sanitizer.on_node
+    record = trace.reads.append
     tracing = obs.enabled()
     step_spans = tracing and comp.num_nodes <= STEP_SPAN_LIMIT
 
@@ -108,54 +110,61 @@ def _execute_body(
     batch_step = -1
     batch_t0 = 0.0
 
-    reads = writes = executed = 0
+    executed = 0  # counted only while tracing, like every executor.* metric
     # Sanitizer counters are published once per run, as deltas.
     checked = flagged = 0
     if sanitizer is not None:
         checked, flagged = sanitizer.events, len(sanitizer.violations)
-    for u in schedule.execution_order():
-        if tracing and start_of[u] != batch_step:
-            now = time.perf_counter()
-            if batch_step >= 0:
-                obs.observe("executor.step_seconds", now - batch_t0)
-            # Live progress for journal/metrics scrapers: how deep into
-            # the schedule this execution currently is.
-            obs.set_gauge("executor.nodes_done", executed)
-            batch_step, batch_t0 = start_of[u], now
-        executed += 1
-        p = proc_of[u]
-        op = comp.op(u)
-        step = (
-            obs.span("step", node=u, op=repr(op), proc=p)
-            if step_spans
-            else obs.NULL_SPAN
-        )
-        with step:
-            memory.node_starting(p, u, cross_pred[u])
+    step = None  # the open ``step`` span, entered and exited by hand
+    try:
+        for u in schedule.order:
+            p = proc_of[u]
+            op = ops[u]
+            if tracing:
+                if start_of[u] != batch_step:
+                    now = time.perf_counter()
+                    if batch_step >= 0:
+                        obs.observe("executor.step_seconds", now - batch_t0)
+                    # Live progress for journal/metrics scrapers: how deep
+                    # into the schedule this execution currently is.
+                    obs.set_gauge("executor.nodes_done", executed)
+                    batch_step, batch_t0 = start_of[u], now
+                executed += 1
+                if step_spans:
+                    step = obs.span("step", node=u, op=repr(op), proc=p)
+                    step.__enter__()
+            node_starting(p, u, cross_pred[u])
             observed: int | None = None
-            if op.is_read:
-                observed = memory.read(p, u, op.loc)
-                trace.reads.append(ReadEvent(u, op.loc, observed))
-                reads += 1
-            elif op.is_write:
-                memory.write(p, u, op.loc)
-                writes += 1
-            memory.node_completed(p, u, cross_succ[u])
-        if sanitizer is not None:
-            violation = sanitizer.on_node(
-                u, op, comp.dag.predecessors(u), observed
-            )
-            if violation is not None:
-                trace.violation = violation
-                if not sanitizer.keep_going:
-                    break
+            kind = op.kind
+            if kind == "R":
+                observed = read(p, u, op.loc)
+                record(ReadEvent(u, op.loc, observed))
+            elif kind == "W":
+                write(p, u, op.loc)
+            node_completed(p, u, cross_succ[u])
+            if step is not None:
+                step.__exit__(None, None, None)
+                step = None
+            if on_node is not None:
+                violation = on_node(u, op, preds[u], observed)
+                if violation is not None:
+                    trace.violation = violation
+                    if not sanitizer.keep_going:
+                        break
+    except BaseException as exc:
+        if step is not None:
+            step.__exit__(type(exc), exc, exc.__traceback__)
+        raise
     if tracing:
         if batch_step >= 0:
             obs.observe("executor.step_seconds", time.perf_counter() - batch_t0)
         obs.add("executor.runs")
         obs.add("executor.nodes", executed)
-        obs.add("executor.reads", reads)
-        obs.add("executor.writes", writes)
+        obs.add("executor.reads", len(trace.reads))
+        obs.add(
+            "executor.writes",
+            sum(ops[v].kind == "W" for v in schedule.order[:executed]),
+        )
         if sanitizer is not None:
             obs.add("sanitizer.events", sanitizer.events - checked)
             obs.add("sanitizer.violations", len(sanitizer.violations) - flagged)

@@ -346,6 +346,11 @@ class HierarchicalBackerMemory(MemorySystem):
         elif isinstance(config, dict):
             config = HierarchyConfig.from_dict(config)
         self.config = config
+        # The shape, unpacked once for the per-event paths.
+        self._depth = config.depth
+        self._line_sizes = tuple(cfg.line_size for cfg in config.levels)
+        self._capacities = tuple(cfg.capacity for cfg in config.levels)
+        self._latencies = tuple(cfg.latency for cfg in config.levels)
         if not (0.0 <= drop_reconcile_probability <= 1.0):
             raise ValueError("drop_reconcile_probability must be in [0, 1]")
         if not (0.0 <= drop_flush_probability <= 1.0):
@@ -372,8 +377,10 @@ class HierarchicalBackerMemory(MemorySystem):
         # Per processor, per level: line id -> value snapshot at the
         # moment the line last left that level (false-sharing shadows).
         self._shadows: list[list[dict[int, dict[Location, int | None]]]] = []
-        # Per (proc, level): capped protocol event list for span tracks.
+        # Per (proc, level): capped protocol event list for span tracks,
+        # kept only when the collector was on at :meth:`attach`.
         self._track_events: dict[tuple[int, int], list[tuple[int, str]]] = {}
+        self._tracking = False
         self._tick = 0
         self.stats = HierarchyStats()
 
@@ -386,10 +393,8 @@ class HierarchicalBackerMemory(MemorySystem):
         idx = self._loc_index.get(loc)
         if idx is None:
             idx = self._loc_index[loc] = len(self._loc_index)
-            for k, cfg in enumerate(self.config.levels):
-                self._line_members[k].setdefault(
-                    idx // cfg.line_size, []
-                ).append(loc)
+            for members, size in zip(self._line_members, self._line_sizes):
+                members.setdefault(idx // size, []).append(loc)
         return idx
 
     def _note(self, proc: int, level: int, kind: str) -> None:
@@ -406,10 +411,10 @@ class HierarchicalBackerMemory(MemorySystem):
     ) -> int | None:
         """The value visible at levels deeper than ``below``, else main."""
         idx = self._loc_index[loc]
-        for k in range(below + 1, self.config.depth):
-            line = self._stacks[proc][k].get(
-                idx // self.config.levels[k].line_size
-            )
+        stack = self._stacks[proc]
+        sizes = self._line_sizes
+        for k in range(below + 1, self._depth):
+            line = stack[k].get(idx // sizes[k])
             if line is not None and loc in line.data:
                 return line.data[loc]
         return self._main.get(loc)
@@ -419,7 +424,7 @@ class HierarchicalBackerMemory(MemorySystem):
         cache = self._stacks[proc][level]
         cache[line_id] = line
         cache.move_to_end(line_id)
-        cap = self.config.levels[level].capacity
+        cap = self._capacities[level]
         while cap is not None and len(cache) > cap:
             victim_id, victim = cache.popitem(last=False)
             self._evict(proc, level, victim_id, victim)
@@ -431,21 +436,23 @@ class HierarchicalBackerMemory(MemorySystem):
         ls = self.stats.levels[level]
         ls.evictions += 1
         self._shadows[proc][level][line_id] = dict(line.data)
-        self._note(proc, level, "evict")
+        if self._tracking:
+            self._note(proc, level, "evict")
         if not line.dirty:
             return
         ls.writebacks += len(line.dirty)
-        self._note(proc, level, "writeback")
-        if level + 1 >= self.config.depth:
+        if self._tracking:
+            self._note(proc, level, "writeback")
+        if level + 1 >= self._depth:
             for loc in line.dirty:
                 value = line.data[loc]
                 assert value is not None, "dirty locations always hold a write"
                 self._main[loc] = value
             return
-        below_cfg = self.config.levels[level + 1]
+        below_size = self._line_sizes[level + 1]
         below = self._stacks[proc][level + 1]
         for loc in line.dirty:
-            below_id = self._loc_index[loc] // below_cfg.line_size
+            below_id = self._loc_index[loc] // below_size
             target = below.get(below_id)
             if target is None:
                 target = _Line()
@@ -481,10 +488,13 @@ class HierarchicalBackerMemory(MemorySystem):
         if self.clobber_probability > 0.0 and self._rng.random() < self.clobber_probability:
             clobber_level = self.fault_level - 1
         outgoing: dict[Location, int | None] = {}
-        for k in range(self.config.depth):
+        depth = self._depth
+        stack = self._stacks[proc]
+        levels = self.stats.levels
+        for k in range(depth):
             if k == skip_level:
                 continue
-            cache = self._stacks[proc][k]
+            cache = stack[k]
             if k == clobber_level:
                 for line in cache.values():
                     if line.dirty or not outgoing.keys().isdisjoint(line.data):
@@ -504,17 +514,17 @@ class HierarchicalBackerMemory(MemorySystem):
                 outgoing = {}
                 continue
             if outgoing:
-                self.stats.levels[k].writebacks += len(outgoing)
-                self._note(proc, k, "writeback")
-                if k + 1 < self.config.depth and k + 1 != skip_level:
+                levels[k].writebacks += len(outgoing)
+                if self._tracking:
+                    self._note(proc, k, "writeback")
+                if k + 1 < depth and k + 1 != skip_level:
                     # Refresh deeper copies so later refetches from the
                     # stack see the reconciled values.
-                    below_cfg = self.config.levels[k + 1]
-                    below = self._stacks[proc][k + 1]
+                    below_size = self._line_sizes[k + 1]
+                    below = stack[k + 1]
+                    loc_index = self._loc_index
                     for loc, value in outgoing.items():
-                        line = below.get(
-                            self._loc_index[loc] // below_cfg.line_size
-                        )
+                        line = below.get(loc_index[loc] // below_size)
                         if line is not None and loc in line.data:
                             line.data[loc] = value
                             line.dirty.discard(loc)
@@ -537,14 +547,14 @@ class HierarchicalBackerMemory(MemorySystem):
         self._reconcile_all(proc, skip_level=drop_level)
         self.stats.reconciles -= 1  # folded into the flush event
         self.stats.flushes += 1
-        for k in range(self.config.depth):
+        for k in range(self._depth):
             if k == drop_level:
                 continue
             cache = self._stacks[proc][k]
             shadows = self._shadows[proc][k]
             for line_id, line in cache.items():
                 shadows[line_id] = dict(line.data)
-            if cache:
+            if cache and self._tracking:
                 self._note(proc, k, "flush")
             cache.clear()
 
@@ -553,7 +563,7 @@ class HierarchicalBackerMemory(MemorySystem):
     # ------------------------------------------------------------------
 
     def attach(self, num_procs: int) -> None:
-        depth = self.config.depth
+        depth = self._depth
         self._main = {}
         self._stacks = [
             [OrderedDict() for _ in range(depth)] for _ in range(num_procs)
@@ -564,6 +574,7 @@ class HierarchicalBackerMemory(MemorySystem):
             [dict() for _ in range(depth)] for _ in range(num_procs)
         ]
         self._track_events = {}
+        self._tracking = obs.enabled()
         self._tick = 0
         self.stats = HierarchyStats(
             levels=[LevelStats() for _ in range(depth)]
@@ -573,39 +584,39 @@ class HierarchicalBackerMemory(MemorySystem):
         self._tick += 1
         idx = self._index(loc)
         stack = self._stacks[proc]
-        cfgs = self.config.levels
+        sizes = self._line_sizes
+        st = self.stats
         latency = 0
-        missed: list[int] = []
         value: int | None
-        hit_level: int | None = None
-        for k, cfg in enumerate(cfgs):
-            latency += cfg.latency
-            line = stack[k].get(idx // cfg.line_size)
+        for k, lat in enumerate(self._latencies):
+            latency += lat
+            line_id = idx // sizes[k]
+            line = stack[k].get(line_id)
             if line is not None and loc in line.data:
-                hit_level = k
                 value = line.data[loc]
-                stack[k].move_to_end(idx // cfg.line_size)
+                stack[k].move_to_end(line_id)
+                if k == 0:
+                    st.cache_hits += 1
+                    st.levels[0].hits += 1
+                    return value
+                st.levels[k].hits += 1
                 break
-            missed.append(k)
         else:
+            k = self._depth
             latency += self.config.memory_latency
             value = self._main.get(loc)
-            self.stats.memory_fetches += 1
-        if hit_level == 0:
-            self.stats.cache_hits += 1
-            self.stats.levels[0].hits += 1
-            return value
-        if hit_level is not None:
-            self.stats.levels[hit_level].hits += 1
-        # Fill every missed level with the containing line, recording
-        # the full service latency at each (deeper histograms therefore
-        # hold strictly slower subsets: monotone p50s by construction).
-        for k in reversed(missed):
-            ls = self.stats.levels[k]
+            st.memory_fetches += 1
+        # Fill every missed level (all above ``k``) with the containing
+        # line, recording the full service latency at each (deeper
+        # histograms therefore hold strictly slower subsets: monotone
+        # p50s by construction).
+        for k in range(k - 1, -1, -1):
+            ls = st.levels[k]
             ls.fetches += 1
             ls.miss_latency.record(latency)
-            self._note(proc, k, "fetch")
-            line_id = idx // cfgs[k].line_size
+            if self._tracking:
+                self._note(proc, k, "fetch")
+            line_id = idx // sizes[k]
             line = stack[k].get(line_id)
             fresh = line is None
             if fresh:
@@ -640,9 +651,7 @@ class HierarchicalBackerMemory(MemorySystem):
 
     def write(self, proc: int, node: int, loc: Location) -> None:
         self._tick += 1
-        idx = self._index(loc)
-        cfg = self.config.levels[0]
-        line_id = idx // cfg.line_size
+        line_id = self._index(loc) // self._line_sizes[0]
         cache = self._stacks[proc][0]
         line = cache.get(line_id)
         if line is None:

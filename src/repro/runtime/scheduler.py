@@ -25,8 +25,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.computation import Computation
+from repro.dag.digraph import bit_indices
 from repro.dag.random_dags import as_rng
 from repro.errors import ScheduleError
 
@@ -83,22 +85,48 @@ class Schedule:
             return 0
         return max(self.start_of) + 1
 
-    def execution_order(self) -> list[int]:
+    @cached_property
+    def order(self) -> tuple[int, ...]:
         """Nodes in global execution order (time, then processor id).
 
         The executor serializes same-step nodes by processor id; any
         serialization of truly concurrent unit-time nodes is legitimate.
+        Computed once per schedule: the executor and every replay of
+        its trace walk this tuple.
         """
-        return sorted(
-            self.comp.nodes(), key=lambda u: (self.start_of[u], self.proc_of[u])
+        start_of, proc_of = self.start_of, self.proc_of
+        return tuple(
+            sorted(self.comp.nodes(), key=lambda u: (start_of[u], proc_of[u]))
         )
+
+    @cached_property
+    def cross_flags(self) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        """``(cross_pred, cross_succ)``: per node, whether some direct
+        predecessor (successor) runs on another processor.
+
+        One bitset of nodes per processor; a node is cross iff its
+        predecessor (successor) mask leaves its own processor's set.
+        """
+        dag = self.comp.dag
+        proc_of = self.proc_of
+        n = len(proc_of)
+        # Per processor, the nodes it does NOT run, as one bitset each.
+        others = {
+            p: int("".join("0" if q == p else "1" for q in reversed(proc_of)) or "0", 2)
+            for p in set(proc_of)
+        }
+        pred_mask, succ_mask = dag.predecessor_mask, dag.successor_mask
+        cross_pred = tuple(bool(pred_mask(u) & others[proc_of[u]]) for u in range(n))
+        cross_succ = tuple(bool(succ_mask(u) & others[proc_of[u]]) for u in range(n))
+        return cross_pred, cross_succ
+
+    def execution_order(self) -> list[int]:
+        """:attr:`order` as a fresh list."""
+        return list(self.order)
 
     def nodes_on(self, proc: int) -> list[int]:
         """Nodes executed by one processor, in time order."""
-        return sorted(
-            (u for u in self.comp.nodes() if self.proc_of[u] == proc),
-            key=lambda u: self.start_of[u],
-        )
+        return [u for u in self.order if self.proc_of[u] == proc]
 
 
 def serial_schedule(comp: Computation) -> Schedule:
@@ -166,10 +194,12 @@ def work_stealing_schedule(
     if num_procs < 1:
         raise ScheduleError("need at least one processor")
     r = as_rng(rng)
+    dag = comp.dag
     n = comp.num_nodes
-    indeg = [comp.dag.in_degree(u) for u in range(n)]
+    indeg = [dag.in_degree(u) for u in range(n)]
+    succ = dag.successor_mask
     deques: list[deque[int]] = [deque() for _ in range(num_procs)]
-    for u in sorted(range(n)):
+    for u in range(n):
         if indeg[u] == 0:
             deques[0].append(u)
     proc_of = [0] * n
@@ -179,7 +209,6 @@ def work_stealing_schedule(
     while done < n:
         # Each processor picks at most one node this step.
         running: list[tuple[int, int]] = []  # (proc, node)
-        claimed: list[int] = []
         for p in range(num_procs):
             u: int | None = None
             if deques[p]:
@@ -193,17 +222,17 @@ def work_stealing_schedule(
                 proc_of[u] = p
                 start_of[u] = t
                 running.append((p, u))
-                claimed.append(u)
         if not running:
             raise ScheduleError("deadlock: no ready nodes (cycle?)")
         for p, u in running:
             done += 1
             enabled: list[int] = []
-            for v in comp.dag.successors(u):
+            for v in bit_indices(succ(u)):
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     enabled.append(v)
-            r.shuffle(enabled)
+            if len(enabled) > 1:  # shuffling fewer draws nothing
+                r.shuffle(enabled)
             deques[p].extend(enabled)
         t += 1
     return Schedule(comp, tuple(proc_of), tuple(start_of), num_procs)

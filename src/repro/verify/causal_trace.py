@@ -107,14 +107,15 @@ class StreamingCCVerifier:
         """Stream a completed trace; returns the first violation."""
         comp = trace.comp
         observed = {e.node: e.observed for e in trace.reads}
-        order = trace.schedule.execution_order()
+        order = trace.schedule.order
         new_id = {u: i for i, u in enumerate(order)}
+        preds = comp.dag.predecessor_tuples
         verifier = cls()
         for u in order:
             obs = observed.get(u)
             v = verifier.add_node(
                 comp.op(u),
-                [new_id[p] for p in comp.dag.predecessors(u)],
+                [new_id[p] for p in preds[u]],
                 None if obs is None else new_id[obs],
             )
             if v is not None:

@@ -94,21 +94,18 @@ def find_races(comp: Computation) -> Iterator[Race]:
     For each location: a write races with any incomparable access, and
     two incomparable reads never race.  A per-pair sweep with a
     seen-set, so a write-write pair comes out once, from its smaller
-    id.  Enumerating all pairs is quadratic in the worst case (6.19 M
-    on the unfolded ``racy_counter(64, 32)``); :func:`race_witnesses`
-    is the pass that scales, and this is its oracle.
+    id.  The locations' access and write masks are built in one pass
+    over the ops.  Enumerating all pairs is quadratic in the worst case
+    (6.19 M on the unfolded ``racy_counter(64, 32)``);
+    :func:`race_witnesses` is the pass that scales, and this is its
+    oracle.
     """
-    dag = comp.dag
-    for loc in comp.locations:
-        access_mask = 0
-        for a in comp.accessors(loc):
-            access_mask |= 1 << a
-        write_mask = comp.writers_mask(loc)
+    locs, loc_masks = _location_masks(comp)
+    desc, anc = comp.dag._closure()
+    for loc, (access_mask, write_mask) in zip(locs, loc_masks):
         seen: set[tuple[int, int]] = set()
         for w in bit_indices(write_mask):
-            comparable = (
-                dag.ancestors_mask(w) | dag.descendants_mask(w) | (1 << w)
-            )
+            comparable = anc[w] | desc[w] | (1 << w)
             for other in bit_indices(access_mask & ~comparable):
                 pair = (min(w, other), max(w, other))
                 if pair in seen:

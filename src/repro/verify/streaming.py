@@ -15,23 +15,27 @@ incrementally, on the computation's own node ids:
 
 * every constrained event (a write, or a read with its observed writer)
   joins a *block* — the fiber of its observed write (or the ⊥ block);
-* each node carries the set of blocks among itself and its ancestors
-  per location (propagated along edges as nodes arrive — block-level
-  reachability, bounded by the number of writes, not nodes; a node
-  that adds no block shares its predecessor's sets);
+  each ``(location, block)`` pair gets one bit id, in first-seen order;
+* each node carries its *reach*, one ``int`` bitset: the bits of the
+  blocks among itself and its ancestors, over every location at once.
+  A node's reach is the ``|`` of its predecessors' (shared outright
+  when one predecessor brings it all) plus its own block's bit; a
+  location's ancestor blocks are ``reach & mask[loc]``;
 * a new member of block ``b`` with an ancestor in block ``a ≠ b`` adds
-  the quotient edge ``a → b``; a cycle created by the insertion, or any
-  edge into a ⊥ block, is precisely an LC violation (the streamed form
-  of the batch condition), reported with the offending node, location
-  and a *witness*.
+  the quotient edge ``a → b``; the new edges are one mask expression,
+  ``blocks & ~in[b] & ~bit(b) & ~bit(⊥)``.  A cycle created by the
+  insertion, or any edge into a ⊥ block, is precisely an LC violation
+  (the streamed form of the batch condition), reported with the
+  offending node, location and a *witness*.
 
 Each quotient edge remembers the event that added it, so the witness is
 the shortest chain of nodes whose observations contradict each other:
 the edges of the cycle (or the write a ⊥ read follows), ending with the
 violating node.  Cycle detection is one breadth-first search from ``b``
-in the quotient (whose size is bounded by the writes to that location,
-not the trace length), run only when the event adds a new edge out of
-an existing block's reach.
+over the out-edges in insertion order (the quotient's size is bounded
+by the writes to that location, not the trace length), run only when
+``b`` already has out-edges.  When several blocks qualify, the
+earliest-fed write is named.
 
 Agreement with the batch checker on complete traces is property-tested;
 the bench measures the streaming cost per event on long executions.
@@ -59,7 +63,44 @@ __all__ = ["StreamingViolation", "StreamingLCVerifier"]
 
 _BOT = ("⊥",)  # per-location bottom-block sentinel (distinct from node ids)
 
-_NO_BLOCKS: dict = {}  # shared reach of nodes without block ancestors
+#: per byte value, the offsets of its set bits.
+_BYTE_BITS = tuple(tuple(j for j in range(8) if v >> j & 1) for v in range(256))
+_NONZERO = bytes([0] + [1] * 255)  # byte translation: nonzero -> 1
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending.
+
+    Linear in the mask's width (one ``to_bytes`` and a ``bytes.find``
+    per nonzero byte, both in C) plus its population (a Python step per
+    set bit).  Peeling the lowest bit off instead costs the full width
+    once per set bit.
+    """
+    if not mask & (mask - 1):
+        return [mask.bit_length() - 1]
+    raw = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    nonzero = raw.translate(_NONZERO)
+    out: list[int] = []
+    i = nonzero.find(1)
+    while i >= 0:
+        base = i << 3
+        for j in _BYTE_BITS[raw[i]]:
+            out.append(base + j)
+        i = nonzero.find(1, i + 1)
+    return out
+
+
+class _Loc:
+    """Per-location engine state: which reach bits are its blocks."""
+
+    __slots__ = ("ids", "mask", "writes")
+
+    def __init__(self) -> None:
+        #: block (writer node id, or :data:`_BOT`) -> its reach bit.
+        self.ids: dict[object, int] = {}
+        #: the bits of every block of this location, and of its writes.
+        self.mask = 0
+        self.writes = 0
 
 
 def _blk(b: int | None) -> str:
@@ -128,12 +169,18 @@ class StreamingLCVerifier:
         self.violation: StreamingViolation | None = None
         self.violations: list[StreamingViolation] = []
         self.events = 0
-        #: per location: quotient edges ``a -> {b: node that added it}``.
-        self._out: dict[Location, dict[object, dict[object, int]]] = {}
-        #: per location: quotient in-neighbours ``b -> {a, ...}``.
-        self._in: dict[Location, dict[object, set[object]]] = {}
-        #: per fed node: per location, the blocks of it and its ancestors.
-        self._reach: dict[int, dict[Location, frozenset]] = {}
+        self._locs: dict[Location, _Loc] = {}
+        # Per reach bit, i.e. per block, in first-seen order:
+        #: the block itself (writer node id, or :data:`_BOT`);
+        self._block_of: list[object] = []
+        #: the bits of its quotient in-neighbours;
+        self._in: list[int] = []
+        #: its quotient out-edges ``(bit of c, node that added it)``,
+        #: in insertion order (the breadth-first search, and so the
+        #: witness, follows it).
+        self._out: list[list[tuple[int, int]]] = []
+        #: per fed node: the bits of the blocks of it and its ancestors.
+        self._reach: dict[int, int] = {}
         #: per fed write: its event index (ranks competing witnesses).
         self._fed: dict[int, int] = {}
 
@@ -141,58 +188,92 @@ class StreamingLCVerifier:
     # Quotient maintenance
     # ------------------------------------------------------------------
 
-    def _join(
-        self, node: int, idx: int, loc: Location, anc: frozenset, b: object
-    ) -> StreamingViolation | None:
-        """Add the quotient edges ``a → b`` for every ancestor block."""
+    def _block_bit(self, state: _Loc, b: object) -> int:
+        """A new reach bit for block ``b`` of a location."""
+        bit = len(self._block_of)
+        self._block_of.append(b)
+        self._in.append(0)
+        self._out.append([])
+        state.ids[b] = bit
+        state.mask |= 1 << bit
+        if b is not _BOT:
+            state.writes |= 1 << bit
+        return bit
+
+    def _earliest(self, bits: list[int], idx: int) -> int:
+        """The bit of the earliest-fed write among the blocks of ``bits``.
+
+        Writes not fed yet (observed by a read fed before them) rank
+        after every fed one, in node id order.
+        """
         fed = self._fed
+        block_of = self._block_of
+        return min(
+            bits, key=lambda i: (fed.get(block_of[i], idx), block_of[i])
+        )
+
+    def _join(
+        self,
+        node: int,
+        idx: int,
+        loc: Location,
+        state: _Loc,
+        blocks: int,
+        b: object,
+        bit: int,
+    ) -> StreamingViolation | None:
+        """Add the quotient edges ``a → b`` for every ancestor block
+        ``a`` among the bits of ``blocks`` (``bit`` is ``b``'s)."""
         if b is _BOT:
             # Every write block among the ancestors contradicts a ⊥ read;
             # name the earliest-fed one.
-            writes = [a for a in anc if a is not _BOT]
+            writes = blocks & state.writes
             if not writes:
                 return None
-            a = min(writes, key=lambda w: fed.get(w, idx))
+            a = self._block_of[self._earliest(_set_bits(writes), idx)]
             return self._record(node, idx, loc, (a, None), (a, node))
-        into = self._in.setdefault(loc, {})
-        known = into.get(b)
+        known = self._in[bit]
         # ⊥ has no in-edges, so an edge out of it never closes a cycle.
-        new = anc.difference(known or (), (b, _BOT))
+        new = blocks & state.writes & ~(known | 1 << bit)
         if not new:
             return None
-        out = self._out.setdefault(loc, {})
-        parent: dict[object, tuple[object, int] | None] = {}
-        if b in out:
+        out = self._out
+        parent: dict[int, tuple[int, int] | None] = {}
+        if out[bit]:
             # Breadth-first from ``b``: a new edge ``a → b`` closes a
             # cycle iff ``b`` reaches ``a``; the tree gives the witness.
-            parent[b] = None
-            frontier = [b]
+            parent[bit] = None
+            frontier = [bit]
             while frontier:
                 step = []
                 for x in frontier:
-                    for c, origin in out.get(x, {}).items():
+                    for c, origin in out[x]:
                         if c not in parent:
                             parent[c] = (x, origin)
                             step.append(c)
                 frontier = step
-        if known is None:
-            known = into[b] = set()
-        for a in new:
-            if a not in parent:
-                out.setdefault(a, {})[b] = node
-                known.add(a)
-        bad = [a for a in new if a in parent]
+        edge = (bit, node)
+        bad = []
+        for i in _set_bits(new):
+            if i in parent:
+                bad.append(i)
+            else:
+                out[i].append(edge)
         if not bad:
+            self._in[bit] = known | new
             return None
-        a = min(bad, key=lambda w: fed.get(w, idx))
+        self._in[bit] = known | (new & ~sum(1 << i for i in bad))
+        first = self._earliest(bad, idx)
         chain: list[int] = []
-        link = parent[a]
+        link = parent[first]
         while link is not None:
             prev, origin = link
             chain.append(origin)
             link = parent[prev]
         chain.reverse()
-        return self._record(node, idx, loc, (a, b), (*chain, node))
+        return self._record(
+            node, idx, loc, (self._block_of[first], b), (*chain, node)
+        )
 
     def _record(
         self,
@@ -232,53 +313,40 @@ class StreamingLCVerifier:
         idx = self.events
         self.events = idx + 1
         reach = self._reach
-        # Blocks of the ancestors: union over predecessors' reach,
-        # copy-on-write so a node adding nothing shares its input.
-        anc = _NO_BLOCKS
-        owned = False
+        # Blocks of the ancestors: the union of the predecessors' reach,
+        # shared outright when one predecessor brings them all.
+        anc = 0
         for p in preds:
             r = reach[p]
-            if r is anc or not r:
-                continue
             if not anc:
                 anc = r
-                continue
-            for loc, fs in r.items():
-                cur = anc.get(loc)
-                if cur is fs:
-                    continue
-                if cur is None or cur <= fs:
-                    merged = fs
-                elif fs <= cur:
-                    continue
-                else:
-                    merged = cur | fs
-                if not owned:
-                    anc = dict(anc)
-                    owned = True
-                anc[loc] = merged
+            elif r is not anc:
+                merged = anc | r
+                anc = r if merged == r else merged
 
         kind = op.kind
         if kind == "N":
             reach[node] = anc
             return self.violation
         loc = op.loc
+        state = self._locs.get(loc)
+        if state is None:
+            state = self._locs[loc] = _Loc()
         if kind == "W":
             b: object = node
             self._fed[node] = idx
         else:
             b = _BOT if observed is None else observed
-        blocks = anc.get(loc)
-        if blocks is None:
-            mine = frozenset((b,))
-        else:
-            if len(blocks) > 1 or b not in blocks:
-                self._join(node, idx, loc, blocks, b)
-            mine = blocks if b in blocks else blocks | {b}
-        if mine is not blocks:
-            if not owned:
-                anc = dict(anc)
-            anc[loc] = mine
+        bit = state.ids.get(b)
+        if bit is None:
+            bit = self._block_bit(state, b)
+        mine = 1 << bit
+        blocks = anc & state.mask
+        if blocks != mine:
+            if blocks:
+                self._join(node, idx, loc, state, blocks, b, bit)
+            if not blocks & mine:
+                anc |= mine
         reach[node] = anc
         return self.violation
 
@@ -298,10 +366,10 @@ class StreamingLCVerifier:
         comp = trace.comp
         observed = {e.node: e.observed for e in trace.reads}
         ops = comp.ops
-        predecessors = comp.dag.predecessors
+        preds = comp.dag.predecessor_tuples
         verifier = cls(keep_going)
-        for u in trace.schedule.execution_order():
-            v = verifier.on_node(u, ops[u], predecessors(u), observed.get(u))
+        for u in trace.schedule.order:
+            v = verifier.on_node(u, ops[u], preds[u], observed.get(u))
             if v is not None and not keep_going:
                 break
         return verifier

@@ -428,6 +428,59 @@ class TestObsIntegration:
         levels = {n.rsplit("L", 1)[-1] for n in tracks}
         assert len(levels) >= 2, "tracks must span at least two levels"
 
+    def test_obs_on_and_off_runs_agree(self):
+        """Observability changes what is recorded, never the run."""
+
+        def counters(mem):
+            st = mem.stats
+            return (
+                [
+                    (ls.fetches, ls.hits, ls.writebacks, ls.evictions,
+                     ls.false_sharing, ls.miss_latency.count,
+                     ls.miss_latency.total, ls.miss_latency.buckets)
+                    for ls in st.levels
+                ],
+                st.reconciles, st.flushes, st.dropped_reconciles,
+                st.dropped_flushes, st.memory_fetches, st.cache_hits,
+                st.false_sharing_pairs,
+            )
+
+        def tracks():
+            return [
+                sp for root in obs.get().roots for sp in root.children
+                if sp.name == "hier.tracks"
+            ]
+
+        comp = _workload("fib")
+        sched = work_stealing_schedule(comp, 3, rng=4)
+        runs = []
+        for on in (False, True):
+            obs.reset()
+            (obs.enable if on else obs.disable)()
+            # Faults make the sanitizer halt the run part-way.
+            mem = HierarchicalBackerMemory(
+                "l1l2",
+                drop_reconcile_probability=0.5,
+                drop_flush_probability=0.5,
+                rng=0,
+            )
+            sanitizer = StreamingLCVerifier()
+            trace = execute(sched, mem, sanitizer=sanitizer)
+            runs.append((trace, mem, tracks()))
+            obs.disable()
+        (off_trace, off_mem, off_tracks), (on_trace, on_mem, on_tracks) = runs
+        assert off_trace.reads == on_trace.reads
+        assert off_trace.violation == on_trace.violation is not None
+        assert counters(off_mem) == counters(on_mem)
+        assert off_mem._track_events == {} and not off_tracks
+        assert on_mem._track_events and len(on_tracks) == 1
+        # The traced run's executor counters describe the nodes it ran.
+        c = obs.get().counters
+        ran = sched.order[: sanitizer.events]
+        assert c["executor.nodes"] == sanitizer.events < comp.num_nodes
+        assert c["executor.reads"] == len(on_trace.reads)
+        assert c["executor.writes"] == sum(comp.ops[u].is_write for u in ran)
+
     def test_publish_obs_noop_when_disabled(self):
         comp = _workload("racy")
         sched = work_stealing_schedule(comp, 2, rng=6)

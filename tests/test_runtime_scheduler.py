@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Computation, N
 from repro.dag import Dag, chain_dag, fork_join_dag
@@ -140,3 +141,50 @@ class TestScheduleQueries:
             n for p in range(s.num_procs) for n in s.nodes_on(p)
         )
         assert all_nodes == [0, 1, 2, 3]
+
+
+class TestSchedulePlan:
+    """The order and cross-processor flags a schedule computes once
+    equal their definitions, recomputed naively."""
+
+    @given(
+        computations(max_nodes=10, locations=("x", "y")),
+        st.integers(1, 4),
+        st.integers(0, 10**6),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_plan_matches_naive_definitions(self, comp, procs, seed, steal):
+        make = work_stealing_schedule if steal else greedy_schedule
+        s = make(comp, procs, rng=seed)
+        proc_of, start_of = s.proc_of, s.start_of
+        naive = sorted(comp.nodes(), key=lambda u: (start_of[u], proc_of[u]))
+        assert list(s.order) == naive == s.execution_order()
+        cross_pred, cross_succ = s.cross_flags
+        assert list(cross_pred) == [
+            any(proc_of[u] != proc_of[v] for u in comp.dag.predecessors(v))
+            for v in comp.nodes()
+        ]
+        assert list(cross_succ) == [
+            any(proc_of[u] != proc_of[v] for v in comp.dag.successors(u))
+            for u in comp.nodes()
+        ]
+        for p in range(s.num_procs):
+            assert s.nodes_on(p) == sorted(
+                (u for u in comp.nodes() if proc_of[u] == p),
+                key=lambda u: start_of[u],
+            )
+
+    def test_processor_ids_need_not_be_dense(self):
+        # Loaded traces may name processors outside range(num_procs).
+        comp = nop_computation(Dag(3, [(0, 2)]))
+        s = Schedule(comp, (7, 2, 7), (0, 0, 1), 2)
+        assert s.order == (1, 0, 2)
+        assert s.cross_flags == ((False, False, False), (False, False, False))
+
+    def test_plan_is_computed_once(self):
+        comp = nop_computation(fork_join_dag(3))
+        s = work_stealing_schedule(comp, 2, rng=1)
+        assert s.order is s.order
+        assert s.cross_flags is s.cross_flags
+        assert comp.dag.predecessor_tuples is comp.dag.predecessor_tuples

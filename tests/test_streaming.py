@@ -226,6 +226,23 @@ class TestWitnessIds:
         assert "⊥" in violation.reason
 
 
+    def test_witness_follows_the_first_inserted_edge(self):
+        """Two equally short paths close the cycle; the breadth-first
+        search takes out-edges in insertion order, so the witness runs
+        through the edge added first."""
+        v = StreamingLCVerifier()
+        for w in range(4):  # blocks A=0, B=1, C1=2, C2=3
+            v.on_node(w, W("x"), [])
+        v.on_node(4, R("x"), [1], observed=2)  # B → C1
+        v.on_node(5, R("x"), [1], observed=3)  # B → C2
+        v.on_node(6, R("x"), [2], observed=0)  # C1 → A
+        v.on_node(7, R("x"), [3], observed=0)  # C2 → A
+        violation = v.on_node(8, R("x"), [0], observed=1)  # A → B closes
+        assert violation is not None
+        assert violation.blocks == (0, 1)
+        assert violation.witness == (4, 6, 8)
+
+
 class TestFaultInjection:
     def test_total_fault_flagged_at_first_bad_read(self):
         comp, _ = racy_counter_computation(4, 3)
