@@ -155,10 +155,11 @@ def compute_lattice(
     the larger one.
 
     All sweeps run through the sharded engine
-    (:mod:`repro.runtime.parallel`): ``jobs=None`` defers to the
-    ``REPRO_JOBS`` environment variable (default serial in-process),
-    ``jobs=N`` forces ``N`` workers.  The engine's canonical-order merge
-    makes every witness identical to the serial per-question sweeps.
+    (:mod:`repro.runtime.parallel`), one battery pass per distinct
+    universe: ``jobs=None`` defers to the ``REPRO_JOBS`` environment
+    variable (default serial in-process), ``jobs=N`` forces ``N``
+    workers.  The engine's canonical-order merge makes every witness
+    identical to the serial per-question sweeps.
     """
     from repro.runtime.parallel import (
         parallel_inclusion_matrix,
@@ -167,11 +168,12 @@ def compute_lattice(
 
     wuniv = witness_universe or universe
     models = PAPER_MODELS
-
-    inclusions, inc_stats = parallel_inclusion_matrix(
-        models, universe, jobs=jobs
-    )
-    result = LatticeResult(universe=universe, inclusions=inclusions)
+    fused = wuniv == universe
+    result = LatticeResult(universe=universe, inclusions={})
+    if not fused:
+        result.inclusions, result.sweep_stats["inclusion-matrix"] = (
+            parallel_inclusion_matrix(models, universe, jobs=jobs)
+        )
 
     def seeded(a_name: str, b_name: str) -> SeparationWitness | None:
         """Witness in b \\ a among the paper's fixed figure pairs.
@@ -196,12 +198,17 @@ def compute_lattice(
         if separations[edge] is None:
             unresolved.append(edge)
 
-    battery, battery_stats = parallel_lattice_battery(
-        wuniv,
-        edges=unresolved,
-        constructibility=models,
-        jobs=jobs,
+    battery, result.sweep_stats["lattice-battery"] = (
+        parallel_lattice_battery(
+            wuniv,
+            edges=unresolved,
+            constructibility=models,
+            inclusion=models if fused else (),
+            jobs=jobs,
+        )
     )
+    if fused:
+        result.inclusions = battery.inclusions
     for edge in unresolved:
         separations[edge] = battery.witnesses[edge]
 
@@ -214,10 +221,6 @@ def compute_lattice(
         )
     for m in models:
         result.constructibility[m.name] = battery.nonconstructibility[m.name]
-    result.sweep_stats = {
-        "inclusion-matrix": inc_stats,
-        "lattice-battery": battery_stats,
-    }
     return result
 
 

@@ -19,12 +19,11 @@ the shared substrate:
   ``ProcessPoolExecutor`` with a serial fallback (``jobs=1``, the
   ``REPRO_JOBS`` environment variable, or universes too small to amortize
   pool startup);
-* two shard kernels, one per sweep shape — :func:`inclusion_kernel`, a
-  full-scan fold of membership verdicts into an inclusion matrix, and
-  :func:`lattice_battery_kernel`, one question battery answering every
-  first-witness search (separations, Theorem-12 nonconstructibility)
-  and count (Theorem 23) asked of a universe in a single enumeration
-  pass.  Membership verdicts and augmentation extensions are shared
+* one shard kernel, :func:`lattice_battery_kernel` — a question
+  battery answering every first-witness search (separations,
+  Theorem-12 nonconstructibility), count (Theorem 23) and inclusion
+  fold asked of a universe in a single enumeration pass, deciding each
+  model at most once per pair.  Augmentation extensions are shared
   across questions via the caches in :mod:`repro.dag.enumerate`,
   :mod:`repro.core.computation` and :mod:`repro.models.constructibility`;
 * :class:`SweepStats` — per-shard timings and cache hit rates, surfaced
@@ -110,6 +109,11 @@ __all__ = [
 PARALLEL_THRESHOLD = 512
 """Universes with fewer computations than this run serially: forking a
 pool costs more than the sweep itself."""
+
+SHARDS_PER_JOB = 8
+"""Shards planned per worker: one battery pass carries all of a
+universe's per-pair work, and coarser shards raise the per-shard
+latency tail (EXPERIMENTS.md, "Figure-1 lattice in one pass")."""
 
 
 # ----------------------------------------------------------------------
@@ -897,14 +901,12 @@ def _total_computations(universe: Universe) -> int:
     )
 
 
-def make_shards(
-    universe: Universe, jobs: int = 1, shards_per_job: int = 4
-) -> list[ShardSpec]:
+def make_shards(universe: Universe, jobs: int = 1) -> list[ShardSpec]:
     """Partition a universe into shards, in canonical enumeration order.
 
     Every size gets at least one shard; the edge-mask ranges of the
     largest sizes are split so the total shard count approaches
-    ``jobs * shards_per_job`` (over-decomposition smooths load imbalance
+    ``jobs * SHARDS_PER_JOB`` (over-decomposition smooths load imbalance
     between sparse and dense dag shapes).  The shards exactly partition
     the enumeration space: concatenated in order they reproduce the
     serial sweep.
@@ -919,7 +921,7 @@ def make_shards(
     sizes = range(universe.max_nodes + 1)
     weights = {n: universe.count_computations(n) for n in sizes}
     total = sum(weights.values()) or 1
-    target = max(1, jobs * shards_per_job)
+    target = max(1, jobs * SHARDS_PER_JOB)
     shards: list[ShardSpec] = []
     for n in sizes:
         masks = universe.num_edge_masks(n)
@@ -1050,8 +1052,8 @@ def _dispatch_pool(
     order whatever order the futures complete in.  Kernel *exceptions*
     propagate (they would fail serially too); only abrupt worker death —
     which poisons the whole pool and surfaces as ``BrokenProcessPool`` on
-    every unfinished future — is converted into a serial retry of the
-    affected shards, in shard order.
+    every unfinished future and on every later ``submit`` — is converted
+    into a serial retry of the affected shards, in shard order.
 
     With a ``monitor``, workers are initialized with a
     ``multiprocessing`` queue (the ``initializer``/``initargs`` channel
@@ -1081,7 +1083,15 @@ def _dispatch_pool(
     failed: list[int] = []
     try:
         with ProcessPoolExecutor(max_workers=workers, **pool_kwargs) as pool:
-            futures = {pool.submit(kernel, s): i for i, s in enumerate(shards)}
+            futures: dict[Any, int] = {}
+            for i, s in enumerate(shards):
+                try:
+                    futures[pool.submit(kernel, s)] = i
+                except BrokenProcessPool:
+                    # A worker died before every shard was queued: the
+                    # unsubmitted shards are lost like the running ones.
+                    failed.extend(range(i, len(shards)))
+                    break
             pending = set(futures)
             while pending:
                 done, pending = wait(
@@ -1286,58 +1296,32 @@ def _model_names(models: Sequence) -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 
 
-def inclusion_kernel(shard: ShardSpec, names: tuple[str, ...]) -> ShardOutcome:
-    """Per-shard inclusion refutations over ``names`` (merged by OR).
-
-    The payload is the fold's "violation" bitset list
-    (:func:`repro.kernels.inclusion_fold`): bit ``j`` of ``bad[i]`` is
-    set iff some pair of this shard is in ``names[i]`` but not
-    ``names[j]``.  Shards merge by elementwise OR and
-    :func:`parallel_inclusion_matrix` negates into the familiar
-    inclusion dict at the end — the same conjunction-over-a-partition
-    merge as before, one bit per cell instead of one dict entry.
-    """
-    from repro.models.base import cached_membership
-
-    models = _resolve_models(names)
-
-    def body(shard: ShardSpec) -> tuple[list[int], int, int]:
-        pairs = evaluated = 0
-
-        def verdict_rows():
-            nonlocal pairs, evaluated
-            for comp, phi, weight in shard.iter_pairs():
-                pairs += weight
-                evaluated += 1
-                yield tuple(
-                    cached_membership(m, comp, phi) for m in models.values()
-                )
-
-        bad = kernels.inclusion_fold(len(names), verdict_rows())
-        return bad, pairs, evaluated
-
-    return _instrumented(body, shard)
-
-
 def lattice_battery_kernel(
     shard: ShardSpec,
     edges: tuple[tuple[str, str], ...],
     constructibility: tuple[str, ...],
     thm23_probes: tuple | None,
+    inclusion: tuple[str, ...] = (),
 ) -> ShardOutcome:
-    """One enumeration pass answering every first-witness and count question.
+    """One enumeration pass answering every question asked of a universe.
 
     The questions are separation witnesses for ``edges``, Theorem-12
     nonconstructibility witnesses for the ``constructibility`` models,
-    and Theorem-23 counts when ``thm23_probes`` is given; any subset may
-    be asked.  Each model's membership is decided at most once per pair
-    and shared by every question.  A model with a closed-form
-    Theorem-12 hook answers membership and its stuck locations in one
-    hook call, so the constructibility questions go first and the edge
-    and Theorem-23 questions reuse that verdict; models without a hook
-    (and every model when caching is off) take the generic search,
-    whose closure tests share the model-independent augmentation
-    extensions.
+    Theorem-23 counts when ``thm23_probes`` is given, and the inclusion
+    matrix of the ``inclusion`` models; any subset may be asked.  Each
+    model's membership is decided at most once per pair and shared by
+    every question.  A model with a closed-form Theorem-12 hook answers
+    membership and its stuck locations in one hook call, so the
+    constructibility questions go first and the other questions reuse
+    that verdict; models without a hook (and every model when caching
+    is off) take the generic search, whose closure tests share the
+    model-independent augmentation extensions.
+
+    The inclusion answer is the fold's violation bitset list
+    (:func:`repro.kernels.inclusion_fold`) over the shard's distinct
+    verdict rows: bit ``j`` of ``bad[i]`` is set iff some pair of the
+    shard is in ``inclusion[i]`` but not ``inclusion[j]``.  Shards merge
+    by elementwise OR.
     """
     from repro.models.base import cached_membership
     from repro.models.constructibility import (
@@ -1352,12 +1336,14 @@ def lattice_battery_kernel(
         {x for e in edges for x in e}
         | set(constructibility)
         | ({"NN", "LC"} if thm23_probes is not None else set())
+        | set(inclusion)
     )
     models = _resolve_models(names)
-    # Theorem-23 counts need the full scan; without them a shard stops
-    # as soon as every first-witness question has its local answer (a
-    # model that never fails Theorem 12 keeps the scan going to the end).
-    may_break = thm23_probes is None
+    # Theorem-23 counts and inclusions need the full scan; without them
+    # a shard stops as soon as every first-witness question has its
+    # local answer (a model that never fails Theorem 12 keeps the scan
+    # going to the end).
+    may_break = thm23_probes is None and not inclusion
 
     def body(shard: ShardSpec) -> tuple[dict, int, int]:
         alphabet = shard.universe().alphabet
@@ -1366,6 +1352,7 @@ def lattice_battery_kernel(
         found_w: dict[tuple[str, str], SeparationWitness] = {}
         found_nc: dict[str, NonconstructibilityWitness] = {}
         lc_in_nn = nn_minus_lc = stuck = 0
+        rows: set[tuple[bool, ...]] = set()
         pairs = evaluated = 0
         for comp, phi, weight in shard.iter_pairs():
             pairs += weight
@@ -1412,6 +1399,8 @@ def lattice_battery_kernel(
                     nn_minus_lc += weight
                     if closed_at("NN", thm23_probes) is not None:
                         stuck += weight
+            if inclusion:
+                rows.add(tuple(member(name) for name in inclusion))
             if (
                 may_break
                 and len(found_w) == len(edges)
@@ -1422,6 +1411,7 @@ def lattice_battery_kernel(
             "witnesses": found_w,
             "nonconstructibility": found_nc,
             "thm23": (lc_in_nn, nn_minus_lc, stuck),
+            "inclusion": kernels.inclusion_fold(len(inclusion), rows),
         }
         return payload, pairs, evaluated
 
@@ -1451,30 +1441,16 @@ def parallel_inclusion_matrix(
     jobs: int | None = None,
     parallel_threshold: int | None = None,
 ) -> tuple[dict[tuple[str, str], bool], SweepStats]:
-    """Sharded :func:`repro.models.relations.inclusion_matrix`.
-
-    Merge is a conjunction over shards: an inclusion holds on the
-    universe iff it holds on every slice of the partition.
-    """
-    names = _model_names(models)
-    shards, jobs_eff = _plan(universe, jobs, parallel_threshold)
-    payloads, stats = run_shards(
-        partial(inclusion_kernel, names=names),
-        shards,
-        jobs=jobs_eff,
+    """Sharded :func:`repro.models.relations.inclusion_matrix`: the
+    battery asked only the inclusion question."""
+    battery, stats = parallel_lattice_battery(
+        universe,
+        inclusion=models,
+        jobs=jobs,
+        parallel_threshold=parallel_threshold,
         label="inclusion-matrix",
     )
-    with obs.span("merge", sweep="inclusion-matrix"):
-        bad = [0] * len(names)
-        for shard_bad in payloads:
-            for i, mask in enumerate(shard_bad):
-                bad[i] |= mask
-        included = {
-            (x, y): not (bad[i] >> j) & 1
-            for i, x in enumerate(names)
-            for j, y in enumerate(names)
-        }
-    return included, stats
+    return battery.inclusions, stats
 
 
 @dataclass
@@ -1485,12 +1461,15 @@ class LatticeBatteryResult:
     or ``None``.  ``nonconstructibility[m]`` — first Theorem-12 failure
     for model ``m``, or ``None`` (augmentation-closed on the universe).
     ``thm23`` — ``(lc_in_nn, nn_minus_lc, pruned)`` counts, all zero when
-    no probes were requested.
+    no probes were requested.  ``inclusions[(x, y)]`` — whether
+    ``x ⊆ y`` held over the whole universe, for every ordered pair of
+    the ``inclusion`` models.
     """
 
     witnesses: dict[tuple[str, str], Any] = field(default_factory=dict)
     nonconstructibility: dict[str, Any] = field(default_factory=dict)
     thm23: tuple[int, int, int] = (0, 0, 0)
+    inclusions: dict[tuple[str, str], bool] = field(default_factory=dict)
 
 
 def parallel_lattice_battery(
@@ -1500,20 +1479,26 @@ def parallel_lattice_battery(
     thm23_probes: Sequence | None = None,
     jobs: int | None = None,
     parallel_threshold: int | None = None,
+    inclusion: Sequence = (),
+    label: str = "lattice-battery",
 ) -> tuple[LatticeBatteryResult, SweepStats]:
-    """Every first-witness and count question over one universe.
+    """Every question asked of one universe, in one enumeration pass.
 
     Answers every requested question — separation witnesses for
     ``edges``, Theorem-12 constructibility for ``constructibility``
-    models, Theorem-23 counts when ``thm23_probes`` is given — in a
-    single sharded enumeration pass.  Merging follows canonical shard
-    order, so each first witness is the one the serial enumeration
-    finds (:func:`repro.models.separating_witness`,
+    models, Theorem-23 counts when ``thm23_probes`` is given, the
+    inclusion matrix of the ``inclusion`` models — in a single sharded
+    enumeration pass.  Merging follows canonical shard order, so each
+    first witness is the one the serial enumeration finds
+    (:func:`repro.models.separating_witness`,
     :func:`repro.models.find_nonconstructibility_witness`); counts merge
-    by summation.
+    by summation, and inclusions by a conjunction over shards: an
+    inclusion holds on the universe iff it holds on every slice of the
+    partition.
     """
     edges = tuple(edges)
     nc_names = _model_names(constructibility)
+    inc_names = _model_names(inclusion)
     probes = None if thm23_probes is None else tuple(thm23_probes)
     shards, jobs_eff = _plan(universe, jobs, parallel_threshold)
     payloads, stats = run_shards(
@@ -1522,17 +1507,19 @@ def parallel_lattice_battery(
             edges=edges,
             constructibility=nc_names,
             thm23_probes=probes,
+            inclusion=inc_names,
         ),
         shards,
         jobs=jobs_eff,
-        label="lattice-battery",
+        label=label,
     )
-    with obs.span("merge", sweep="lattice-battery"):
+    with obs.span("merge", sweep=label):
         result = LatticeBatteryResult(
             witnesses={edge: None for edge in edges},
             nonconstructibility={name: None for name in nc_names},
         )
         lc_in_nn = nn_minus_lc = stuck = 0
+        bad = [0] * len(inc_names)
         for payload in payloads:  # canonical shard order
             for edge in edges:
                 if result.witnesses[edge] is None:
@@ -1546,5 +1533,12 @@ def parallel_lattice_battery(
             lc_in_nn += a
             nn_minus_lc += b
             stuck += c
+            for i, mask in enumerate(payload["inclusion"]):
+                bad[i] |= mask
         result.thm23 = (lc_in_nn, nn_minus_lc, stuck)
+        result.inclusions = {
+            (x, y): not (bad[i] >> j) & 1
+            for i, x in enumerate(inc_names)
+            for j, y in enumerate(inc_names)
+        }
     return result, stats

@@ -12,8 +12,10 @@ demote to the in-process fallback.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import pickle
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -40,7 +42,7 @@ from repro.runtime.parallel import (
     ShardSpec,
     clear_sweep_caches,
     effective_jobs,
-    inclusion_kernel,
+    lattice_battery_kernel,
     make_shards,
     parallel_inclusion_matrix,
     parallel_lattice_battery,
@@ -49,6 +51,15 @@ from repro.runtime.parallel import (
 
 SWEEP = Universe(max_nodes=3, locations=("x",))
 WITNESS = Universe(max_nodes=4, locations=("x",), include_nop=False)
+
+#: The battery asked only the inclusion question, over (SC, LC).
+_inclusion_kernel = partial(
+    lattice_battery_kernel,
+    edges=(),
+    constructibility=(),
+    thm23_probes=None,
+    inclusion=("SC", "LC"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +206,69 @@ def test_parallel_inclusion_matrix_matches_serial():
             assert stats.mode.startswith("process-pool")
 
 
+@pytest.mark.parametrize(
+    "universe",
+    [
+        Universe(max_nodes=4, locations=("x",)),
+        Universe(max_nodes=3, locations=("x", "y")),
+        Universe(max_nodes=4, locations=("x",), include_nop=False),
+    ],
+)
+def test_battery_inclusion_question_matches_labelled_oracle(universe):
+    """The battery's inclusion answer, asked alongside every Figure-1
+    witness question, equals the labelled serial fold of
+    :func:`inclusion_matrix` on the whole universe."""
+    from repro.analysis.lattice import PAPER_EDGES, PAPER_MODELS
+
+    oracle = inclusion_matrix(PAPER_MODELS, universe, jobs=None)
+    for jobs in (1, 2):
+        clear_sweep_caches()
+        battery, stats = parallel_lattice_battery(
+            universe,
+            edges=PAPER_EDGES,
+            constructibility=PAPER_MODELS,
+            inclusion=PAPER_MODELS,
+            jobs=jobs,
+            parallel_threshold=0,
+        )
+        assert battery.inclusions == oracle
+        assert stats.pairs == sum(
+            universe.count_pairs(n) for n in range(universe.max_nodes + 1)
+        )
+
+
+#: sha256 of the ``repr`` of the inclusions, strictness and
+#: incomparability witnesses and constructibility witnesses of
+#: ``compute_lattice(U, U)`` on ``U = Universe(4, ("x",))``, as computed
+#: by the former two-pass lattice (an inclusion sweep, then a battery
+#: sweep).
+LATTICE_U4_DIGEST = (
+    "54cc33fb8374cd6176304414d51fff0964ebd4768465f67742f99b5b6ed0a29d"
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fused_lattice_is_repr_identical_to_two_pass_lattice(jobs):
+    """One battery pass per lattice changes no inclusion cell, witness
+    (computation, observer, blocking op) or constructibility verdict."""
+    from repro.analysis.lattice import compute_lattice
+
+    universe = Universe(max_nodes=4, locations=("x",))
+    clear_sweep_caches()
+    result = compute_lattice(universe, universe, jobs=jobs)
+    assert list(result.sweep_stats) == ["lattice-battery"]
+    text = repr(
+        (
+            result.inclusions,
+            result.strictness,
+            result.incomparability,
+            result.constructibility,
+        )
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_U4_DIGEST
+    assert result.matches_paper() == []
+
+
 def test_parallel_witnesses_match_serial_first_witness():
     """First-witness determinism: the merged witness is the one the
     serial enumeration finds, for every requested edge at once."""
@@ -321,8 +395,10 @@ def test_cached_battery_matches_uncached_generic_path(universe, probes):
 
 
 def test_each_model_is_decided_once_per_pair(monkeypatch):
-    """One serial battery pass and one inclusion pass each decide every
-    model's membership at most once per pair.
+    """One serial battery pass decides every model's membership at most
+    once per pair, and one whole Figure-1 lattice decides every model
+    exactly once per pair: the inclusion fold reuses the verdicts of
+    the witness questions in the same pass.
 
     A decision is an outermost call of a model's ``contains`` or of its
     Theorem-12 hook (which answers membership too); a hook's own
@@ -335,6 +411,7 @@ def test_each_model_is_decided_once_per_pair(monkeypatch):
         PAPER_EDGES,
         PAPER_INCOMPARABLE,
         PAPER_MODELS,
+        compute_lattice,
     )
 
     decisions: Counter = Counter()
@@ -371,9 +448,19 @@ def test_each_model_is_decided_once_per_pair(monkeypatch):
     assert stats.evaluated > 0 and battery.thm23[0] > 0
     assert set(decisions.values()) == {1}
     decisions.clear()
-    parallel_inclusion_matrix(PAPER_MODELS, SWEEP, jobs=1)
-    assert len(decisions) == len(PAPER_MODELS) * stats.evaluated
-    assert set(decisions.values()) == {1}
+    lattice = compute_lattice(SWEEP, SWEEP, jobs=1)
+    (lattice_stats,) = lattice.sweep_stats.values()
+    assert lattice_stats.evaluated == stats.evaluated
+    # The paper-figure seeds are decided outside the sweep, on pairs
+    # the n <= 3 universe does not hold.
+    swept = {
+        (comp, phi)
+        for shard in make_shards(SWEEP)
+        for comp, phi, _weight in shard.iter_pairs()
+    }
+    per_pair = {k: v for k, v in decisions.items() if k[1:] in swept}
+    assert len(per_pair) == len(PAPER_MODELS) * stats.evaluated
+    assert set(per_pair.values()) == {1}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -438,7 +525,7 @@ def test_kernel_obeys_spec_flag_not_ambient_state():
     assert caches_enabled()  # parent process: caching on
     clear_sweep_caches()
     shard = dataclasses.replace(make_shards(SWEEP, jobs=1)[0], cache_enabled=False)
-    outcome = inclusion_kernel(shard, ("SC", "LC"))
+    outcome = _inclusion_kernel(shard)
     assert outcome.meta.cache_enabled is False
     assert outcome.meta.consultations == 0
     assert caches_enabled()  # scoped: caller's state restored
@@ -483,7 +570,7 @@ def _crashy_inclusion_kernel(shard):
     """Dies abruptly in any worker process; behaves normally in-process."""
     if os.getpid() != _MAIN_PID:
         os._exit(17)  # hard exit: poisons the pool (BrokenProcessPool)
-    return inclusion_kernel(shard, ("SC", "LC"))
+    return _inclusion_kernel(shard)
 
 
 def test_broken_pool_retries_shards_serially(caplog):
@@ -502,6 +589,42 @@ def test_broken_pool_retries_shards_serially(caplog):
     assert stats.retried_shards >= 1
     assert pool_payloads == serial_payloads
     assert "retrying shards serially" in caplog.text
+
+
+@pytest.mark.parametrize("nth", [1, 3])
+def test_broken_pool_at_submit_retries_unsubmitted_shards(monkeypatch, nth):
+    """A worker that dies before every shard is queued makes ``submit``
+    raise ``BrokenProcessPool``; the shards never submitted go to the
+    serial retry like the lost running ones."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.runtime import parallel as par
+
+    calls = {"submit": 0}
+
+    class SubmitBreaksPool(par.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            calls["submit"] += 1
+            if calls["submit"] == nth:
+                raise BrokenProcessPool("worker died before submit")
+            return super().submit(*args, **kwargs)
+
+    shards = make_shards(SWEEP, jobs=2)
+    assert len(shards) > nth
+    serial_payloads, _ = run_shards(
+        _inclusion_kernel, shards, jobs=1, label="submit-crash"
+    )
+    monkeypatch.setattr(par, "ProcessPoolExecutor", SubmitBreaksPool)
+    payloads, stats = run_shards(
+        _inclusion_kernel, shards, jobs=2, label="submit-crash"
+    )
+    assert calls["submit"] == nth
+    assert stats.mode.startswith("process-pool")
+    assert payloads == serial_payloads
+    assert stats.retried_shards == len(shards) - (nth - 1)
+    assert [(m.n, m.mask_lo) for m in stats.shards] == [
+        (s.n, s.mask_lo) for s in shards
+    ]
 
 
 def test_healthy_pool_reports_zero_retries():
@@ -553,13 +676,11 @@ def test_sweep_stats_span_grafted_into_live_trace():
 
 def _counter_totals(shards, jobs):
     """Counter + histogram totals of one run_shards pass under a tracer."""
-    from functools import partial
-
     obs.reset()
     obs.enable()
     try:
         _, stats = run_shards(
-            partial(inclusion_kernel, names=("SC", "LC")),
+            _inclusion_kernel,
             shards,
             jobs=jobs,
             label="parity",
